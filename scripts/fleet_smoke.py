@@ -64,7 +64,8 @@ def child_env() -> dict:
     )
     # The whole smoke runs with fabric auth enabled: coordinator and
     # workers pick the shared secret up from the environment, so every
-    # lease/commit/cache RPC below is HMAC-signed end to end.
+    # worker RPC below (all of them POST /fabric/sync) is HMAC-signed
+    # end to end.
     env.setdefault("REPRO_FABRIC_SECRET", "fleet-smoke-secret")
     return env
 

@@ -18,10 +18,10 @@ never enters the aggregate fingerprint.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.analysis.pareto import front_from_points
+from repro.core.journal import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import CampaignSpec
@@ -32,14 +32,11 @@ ATLAS_FILENAME = "atlas.json"
 TELEMETRY_FILENAME = "telemetry.json"
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def aggregate_fingerprint(payload: dict) -> str:
     """Digest of an aggregate payload (minus any embedded fingerprint)."""
     body = {k: v for k, v in payload.items() if k != "fingerprint"}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()[:16]
+    blob = canonical_json(body).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _best_point(wearer, summary: dict) -> Optional[dict]:

@@ -1,7 +1,7 @@
 """Stdlib-only async HTTP API over the campaign runtime.
 
 A tiny, dependency-free HTTP/1.1 server hand-rolled on
-:func:`asyncio.start_server` (one request per connection, JSON in/out)
+:func:`asyncio.start_server` (JSON in/out over keep-alive connections)
 that turns :func:`repro.campaign.runner.run_campaign` into a service::
 
     GET  /healthz                       liveness probe
@@ -23,32 +23,25 @@ that turns :func:`repro.campaign.runner.run_campaign` into a service::
                                         atlas.json, telemetry.json,
                                         campaign.json)
 
-Fleet-executed campaigns add the lease/commit surface of the
-distributed work queue (:mod:`repro.campaign.queue`, DESIGN.md §12)::
+Fleet-executed campaigns are served to pulling workers over the
+worker plane (:mod:`repro.campaign.queue`, DESIGN.md §12–§14), which is
+one RPC plus an operator switch::
 
-    POST /campaigns/<id>/leases                    acquire a shard lease
-                                                   (body {"worker": name};
-                                                   {"lease": null} = no work)
-    POST /campaigns/<id>/leases/<token>/heartbeat  renew (410 once gone)
-    POST /campaigns/<id>/leases/<token>/release    graceful return
-    POST /campaigns/<id>/shards/<n>/complete       CRC-checked idempotent
-                                                   commit of the shard's
-                                                   per-wearer summaries
-
-The fleet hot path (PR 9, DESIGN.md §13) adds three more::
-
-    POST /fabric/sync                  one round-trip for a whole worker
-                                       tick: renew every held lease AND
-                                       acquire new work (granted
-                                       round-robin across active fleet
-                                       campaigns, so one big campaign
-                                       cannot starve later submissions),
-                                       with cross-campaign cached wearer
-                                       summaries prefetched onto the
-                                       lease payload
-    GET  /cache/wearers/<fingerprint>  cross-campaign wearer-result cache
-    PUT  /cache/wearers/<fingerprint>  (content-addressed, CRC-validated,
-                                       idempotent; 409 on divergence)
+    POST /fabric/sync     one round-trip for a whole worker tick; the
+                          body may carry, each entry answered with its
+                          own status (200, or 400/404/409/410):
+                            commits    [{campaign, shard, token, crc,
+                                         summaries}] — CRC-checked,
+                                         idempotent; the last commit of
+                                         a campaign aggregates it
+                            releases   [{campaign, token, reason}]
+                            heartbeats [{campaign, token}] — renewals
+                          processed in that order, then (unless
+                          "acquire": false) one new lease granted
+                          round-robin across active fleet campaigns,
+                          with cached wearer summaries prefetched onto
+                          the lease payload
+    POST /fabric/promote  turn a standby into the primary
 
 Connections are **keep-alive** by default (HTTP/1.1 semantics: one
 request after another on the same socket until the client sends
@@ -83,7 +76,7 @@ defences without changing any artifact byte:
 
 * **Authenticated fabric RPCs** — with a shared secret configured
   (``--fabric-secret`` / ``REPRO_FABRIC_SECRET``), every fabric-plane
-  request (sync, lease, commit, cache, promote) must carry an HMAC
+  request (``/fabric/sync`` and ``/fabric/promote``) must carry an HMAC
   request signature (:mod:`repro.campaign.auth`); missing/forged → 401,
   stale/replayed → 403, always before any state mutation.  Without a
   secret the service runs in legacy mode and says so loudly at startup.
@@ -131,7 +124,6 @@ from repro.campaign.wearer_cache import (
     WEARER_CACHE_DIRNAME,
     WearerCacheDiverged,
     WearerResultCache,
-    summary_crc,
     wearer_fingerprint,
 )
 from repro.core.journal import (
@@ -272,7 +264,7 @@ class CampaignService:
         self._queues: Dict[str, CampaignQueue] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         #: Cross-campaign wearer-result cache (fed by shard commits,
-        #: served over GET/PUT /cache/wearers/<fp>, prefetched on leases).
+        #: prefetched onto lease grants).
         self.wearer_cache = WearerResultCache(
             self.root / WEARER_CACHE_DIRNAME,
             max_bytes=cache_max_bytes,
@@ -1022,28 +1014,17 @@ class CampaignService:
         await writer.drain()
 
     @staticmethod
-    def _protected(method: str, segments: List[str]) -> bool:
+    def _protected(segments: List[str]) -> bool:
         """Is this a fabric-plane request that must be signed?
 
-        The fabric plane — everything a *worker* does (sync, leases,
-        heartbeats, commits, cache) plus promotion — is protected.  The
-        operator plane (submission, status, result, artifact GETs) is
-        deliberately not: it mutates nothing a worker's signature would
+        The fabric plane is everything under ``/fabric/``: the worker's
+        one RPC (``/fabric/sync``) plus promotion.  The operator plane
+        (submission, status, result, artifact GETs) is deliberately not
+        protected: it mutates nothing a worker's signature would
         protect, and keeping it open means `curl` diagnostics keep
         working during an incident.  DESIGN.md §14 spells out the split.
         """
-        if segments[:1] == ["fabric"]:
-            return True
-        if segments[:2] == ["cache", "wearers"]:
-            return True
-        if (
-            method == "POST"
-            and len(segments) >= 3
-            and segments[0] == "campaigns"
-            and segments[2] in ("leases", "shards")
-        ):
-            return True
-        return False
+        return segments[:1] == ["fabric"]
 
     def _authenticate(
         self, method: str, path: str, body: bytes,
@@ -1077,7 +1058,7 @@ class CampaignService:
         # gating, before any handler — so an unauthenticated request
         # learns nothing and mutates nothing.  Signatures cover the raw
         # request-target exactly as the client sent it.
-        if self.auth is not None and self._protected(method, segments):
+        if self.auth is not None and self._protected(segments):
             self._authenticate(method, raw_path, body, headers or {})
         if segments == ["healthz"]:
             if method != "GET":
@@ -1110,12 +1091,6 @@ class CampaignService:
             self._check_fenced()
         elif self.role == "standby":
             self._refresh_standby_view()
-        if len(segments) == 3 and segments[:2] == ["cache", "wearers"]:
-            if method == "GET":
-                return self._get_wearer_cache(segments[2])
-            if method == "PUT":
-                return self._put_wearer_cache(segments[2], body)
-            raise HttpError(405, f"{method} not allowed on {path!r}")
         if segments == ["fabric", "sync"]:
             if method != "POST":
                 raise HttpError(405, "fabric sync is POST-only")
@@ -1131,23 +1106,6 @@ class CampaignService:
                 }
             raise HttpError(405, f"{method} not allowed on /campaigns")
         campaign_id = segments[1]
-        # -- fabric surface (POST: leases, heartbeats, commits) ----------------
-        if method == "POST":
-            if len(segments) == 3 and segments[2] == "leases":
-                return self._post_lease(campaign_id, body)
-            if (
-                len(segments) == 5
-                and segments[2] == "leases"
-                and segments[4] in ("heartbeat", "release")
-            ):
-                return self._post_lease_action(
-                    campaign_id, segments[3], segments[4], body
-                )
-            if len(segments) == 5 and (
-                segments[2] == "shards" and segments[4] == "complete"
-            ):
-                return self._post_complete(campaign_id, segments[3], body)
-            raise HttpError(405, f"POST not allowed on {path!r}")
         if method != "GET":
             raise HttpError(405, f"{method} not allowed on {path!r}")
         if len(segments) == 2:
@@ -1182,9 +1140,9 @@ class CampaignService:
     # -- fabric handlers ---------------------------------------------------------
 
     def _queue_for(self, campaign_id: str) -> CampaignQueue:
-        self.status(campaign_id)  # 404 on unknown campaigns
         queue = self._queues.get(campaign_id)
         if queue is None:
+            self.status(campaign_id)  # 400/404 on bad or unknown ids
             raise HttpError(
                 409,
                 f"campaign {campaign_id!r} is not fleet-executed (no "
@@ -1192,51 +1150,28 @@ class CampaignService:
             )
         return queue
 
-    def _post_lease(self, campaign_id: str, body: bytes) -> Tuple[int, dict]:
-        payload = self._json_body(body) if body else {}
-        worker = str(payload.get("worker") or "anonymous")
-        queue = self._queue_for(campaign_id)
+    def _sync_commit(self, worker: str, entry: dict) -> dict:
+        """One shard commit: CRC-checked, idempotent (a duplicate is a
+        no-op, divergent bytes are 409), feeding the wearer cache, and
+        finalizing the campaign when its last shard lands."""
+        campaign_id = str(entry.get("campaign") or "")
         try:
-            lease = queue.acquire(worker)
-        except QueueError as exc:
-            raise HttpError(exc.status, exc.message) from None
-        return 200, {"lease": lease, "queue": queue.counts()}
-
-    def _post_lease_action(
-        self, campaign_id: str, token: str, action: str, body: bytes
-    ) -> Tuple[int, dict]:
-        queue = self._queue_for(campaign_id)
-        try:
-            if action == "heartbeat":
-                return 200, queue.heartbeat(token)
-            payload = self._json_body(body) if body else {}
-            reason = str(payload.get("reason") or "released")
-            return 200, queue.release(token, reason=reason)
-        except QueueError as exc:
-            raise HttpError(exc.status, exc.message) from None
-
-    def _post_complete(
-        self, campaign_id: str, shard_text: str, body: bytes
-    ) -> Tuple[int, dict]:
-        try:
-            shard = int(shard_text)
-        except ValueError:
-            raise HttpError(400, f"bad shard index {shard_text!r}") from None
-        payload = self._json_body(body)
-        summaries = payload.get("summaries")
+            shard = int(entry.get("shard"))
+        except (TypeError, ValueError):
+            raise HttpError(
+                400, f"bad shard index {entry.get('shard')!r}"
+            ) from None
+        summaries = entry.get("summaries")
         if not isinstance(summaries, dict):
             raise HttpError(400, "commit needs a 'summaries' object")
         queue = self._queue_for(campaign_id)
-        try:
-            outcome = queue.commit(
-                shard,
-                summaries,
-                crc=str(payload.get("crc") or ""),
-                worker=str(payload.get("worker") or "anonymous"),
-                token=payload.get("token"),
-            )
-        except QueueError as exc:
-            raise HttpError(exc.status, exc.message) from None
+        outcome = queue.commit(
+            shard,
+            summaries,
+            crc=str(entry.get("crc") or ""),
+            worker=worker,
+            token=entry.get("token"),
+        )
         # Feed the cross-campaign cache: every summary that just landed
         # is now a download for any other campaign naming this wearer.
         self._ingest_summaries(queue, summaries)
@@ -1247,7 +1182,23 @@ class CampaignService:
             queue.finalize()
             self._set_state(campaign_id, "done")
         outcome["campaign_state"] = self._states.get(campaign_id, "fleet")
-        return 200, outcome
+        return outcome
+
+    def _sync_release(self, worker: str, entry: dict) -> dict:
+        """Hand one lease back to the pending pool."""
+        queue = self._queue_for(str(entry.get("campaign") or ""))
+        reason = str(entry.get("reason") or "released")
+        return queue.release(str(entry.get("token") or ""), reason=reason)
+
+    def _sync_heartbeat(self, worker: str, entry: dict) -> dict:
+        """Renew one held lease (410 once it is gone)."""
+        campaign_id = str(entry.get("campaign") or "")
+        queue = self._queues.get(campaign_id)
+        if queue is None:
+            raise HttpError(
+                410, f"campaign {campaign_id!r} has no active queue"
+            )
+        return queue.heartbeat(str(entry.get("token") or ""))
 
     def _ingest_summaries(
         self, queue: CampaignQueue, summaries: Dict[str, dict]
@@ -1278,97 +1229,58 @@ class CampaignService:
                 if obs is not None:
                     obs.counter("cache.wearer_divergences").inc()
 
-    # -- cross-campaign wearer cache ---------------------------------------------
-
-    def _get_wearer_cache(self, fingerprint: str) -> Tuple[int, dict]:
-        try:
-            summary = self.wearer_cache.get(fingerprint)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        if summary is None:
-            raise HttpError(
-                404, f"no cached wearer result for {fingerprint!r}"
-            )
-        return 200, {
-            "fingerprint": fingerprint,
-            "summary": summary,
-            "crc": summary_crc(summary),
-        }
-
-    def _put_wearer_cache(
-        self, fingerprint: str, body: bytes
-    ) -> Tuple[int, dict]:
-        payload = self._json_body(body)
-        summary = payload.get("summary")
-        if not isinstance(summary, dict):
-            raise HttpError(400, "cache put needs a 'summary' object")
-        crc = str(payload.get("crc") or "")
-        if not crc:
-            raise HttpError(400, "cache put needs the summary 'crc'")
-        if crc != summary_crc(summary):
-            raise HttpError(
-                400,
-                f"summary bytes do not match declared crc {crc!r} — "
-                "refusing to cache a corrupted upload",
-            )
-        try:
-            stored = self.wearer_cache.put(fingerprint, summary)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        except WearerCacheDiverged as exc:
-            raise HttpError(409, str(exc)) from None
-        return 200, {"fingerprint": fingerprint, "stored": stored}
-
-    # -- batched worker sync -----------------------------------------------------
+    # -- the worker-plane RPC ----------------------------------------------------
 
     def _post_sync(self, body: bytes) -> Tuple[int, dict]:
         """One round-trip for a whole worker tick.
 
-        Renews every lease the worker still holds (individually — one
-        dead token must not poison the others), then optionally grants
+        Processes the body's ``commits``, then its ``releases``, then
+        its ``heartbeats``, then (unless ``"acquire": false``) grants
         one new lease, round-robin across active fleet campaigns.  Every
-        heartbeat entry carries its own ``status`` (200 or the
-        :class:`QueueError` code, e.g. 410 once reassigned) so the
-        worker can drop exactly the leases it lost.
+        entry is handled on its own — one dead token must not poison
+        the others — and answered with its own ``status``: 200, or the
+        code of its :class:`QueueError` / :class:`HttpError` (400 bad
+        entry, 404 unknown campaign, 409 not fleet-executed or divergent
+        commit, 410 lease gone).
         """
         payload = self._json_body(body)
         worker = str(payload.get("worker") or "anonymous")
-        heartbeats = payload.get("heartbeats") or []
-        if not isinstance(heartbeats, list):
-            raise HttpError(400, "'heartbeats' must be a list")
-        results: List[dict] = []
-        for entry in heartbeats:
-            if not isinstance(entry, dict):
-                continue
-            cid = str(entry.get("campaign") or "")
-            token = str(entry.get("token") or "")
-            result = {"campaign": cid, "token": token}
-            queue = self._queues.get(cid)
-            if queue is None:
-                result.update(
-                    status=410,
-                    error=f"campaign {cid!r} has no active queue",
-                )
-            else:
-                try:
-                    outcome = queue.heartbeat(token)
-                except QueueError as exc:
-                    result.update(status=exc.status, error=exc.message)
-                else:
-                    result.update(outcome)
-                    result["status"] = 200
-            results.append(result)
-        response: dict = {
-            "worker": worker,
-            "heartbeats": results,
-            "campaign": None,
-            "lease": None,
-        }
+        steps = (
+            ("commits", self._sync_commit),
+            ("releases", self._sync_release),
+            ("heartbeats", self._sync_heartbeat),
+        )
+        for key, _ in steps:
+            if not isinstance(payload.get(key) or [], list):
+                raise HttpError(400, f"{key!r} must be a list")
+        response: dict = {"worker": worker, "campaign": None, "lease": None}
+        for key, step in steps:
+            response[key] = [
+                self._sync_entry(step, worker, entry)
+                for entry in payload.get(key) or []
+                if isinstance(entry, dict)
+            ]
         if payload.get("acquire", True):
             granted = self._grant_lease(worker)
             if granted is not None:
                 response["campaign"], response["lease"] = granted
         return 200, response
+
+    @staticmethod
+    def _sync_entry(step, worker: str, entry: dict) -> dict:
+        """Run one entry through ``step``; the answer echoes its
+        campaign and token and carries its own status."""
+        result = {
+            "campaign": str(entry.get("campaign") or ""),
+            "token": str(entry.get("token") or ""),
+        }
+        try:
+            result.update(step(worker, entry))
+        except (QueueError, HttpError) as exc:
+            result.update(status=exc.status, error=exc.message)
+        else:
+            result["status"] = 200
+        return result
 
     def _grant_lease(self, worker: str) -> Optional[Tuple[str, dict]]:
         """One lease from the active fleet campaigns, round-robin.

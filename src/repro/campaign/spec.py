@@ -23,6 +23,8 @@ import pathlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.journal import canonical_json
+
 #: Bumped when the spec schema changes incompatibly.
 SPEC_VERSION = 1
 
@@ -140,9 +142,7 @@ class CampaignSpec:
 
     def fingerprint(self) -> str:
         """Stable hex digest of every result-relevant campaign field."""
-        blob = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        blob = canonical_json(self.to_dict())
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def wearer(self, wearer_id: str) -> WearerSpec:

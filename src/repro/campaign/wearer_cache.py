@@ -25,10 +25,9 @@ and raises loudly (:class:`WearerCacheDiverged`) instead of silently
 replacing bytes other campaigns may already have aggregated.
 
 Both ends of the fabric hold one of these: the coordinator under
-``<root>/wearer_cache/`` (fed by shard commits, served over
-``GET/PUT /cache/wearers/<fingerprint>``), each worker under its own
-local directory (consulted before any simulation, seeded by coordinator
-prefetches riding on lease responses).
+``<root>/wearer_cache/`` (fed by shard commits, handed to workers as
+prefetches riding on lease grants), each worker under its own local
+directory (consulted before any simulation).
 """
 
 from __future__ import annotations
@@ -37,10 +36,11 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 from typing import Dict, Optional
 
 from repro.campaign.spec import WearerSpec
-from repro.core.journal import summary_projection
+from repro.core.journal import canonical_json, summary_projection
 from repro.core.result_cache import open_envelope, seal_envelope
 
 #: Version stamp of the on-disk envelope; bump on incompatible change.
@@ -49,7 +49,7 @@ WEARER_CACHE_VERSION = 1
 #: Conventional directory name for a wearer cache next to campaign state.
 WEARER_CACHE_DIRNAME = "wearer_cache"
 
-#: LRU index filename inside a cache directory (atomic tmp+replace).
+#: LRU index filename inside a cache directory (atomic temp+replace).
 INDEX_FILENAME = "index.json"
 
 
@@ -87,15 +87,8 @@ def wearer_fingerprint(preset: str, wearer: WearerSpec) -> str:
             ),
             correlated_links=wearer.correlated_links,
         )
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = canonical_json(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def summary_crc(summary: dict) -> str:
-    """Content CRC of a cached summary (validated on both wire ends)."""
-    from repro.core.result_cache import envelope_crc
-
-    return envelope_crc(summary_projection(summary))
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -117,13 +110,15 @@ def _event(kind: str, **fields) -> None:
 class WearerResultCache:
     """One directory of CRC-enveloped wearer summaries, fingerprint-keyed.
 
-    Files are written atomically (temp + ``os.replace``) so a concurrent
-    reader never observes a torn entry, and reads quarantine damage
-    instead of raising — the cache may always be treated as advisory.
+    Files are written atomically (a private temp file per writer, then
+    ``os.replace``) so a concurrent reader never observes a torn entry
+    and concurrent writers — pool children sharing one directory — never
+    race on a temp name; reads quarantine damage instead of raising, so
+    the cache may always be treated as advisory.
 
     ``max_bytes`` / ``max_entries`` bound the store (both default to
     unbounded, the pre-PR-10 behaviour).  Recency lives in an on-disk
-    LRU index (``index.json``, atomic tmp+replace) mapping fingerprint →
+    LRU index (``index.json``, atomic temp+replace) mapping fingerprint →
     ``{"bytes", "seq"}`` with a monotonically increasing touch sequence;
     ``put`` evicts least-recently-used entries until the caps hold
     again, never the entry just written — the caps are therefore
@@ -132,7 +127,7 @@ class WearerResultCache:
     directory scan ordered by mtime, so the index is never a correctness
     dependency: losing it only loses recency ordering.  An eviction is a
     plain ``unlink`` — a concurrent reader that already leased against
-    the entry sees a clean miss (404 on the wire) and re-simulates,
+    the entry sees a clean miss and re-simulates,
     which the determinism contract guarantees reproduces identical
     bytes.
     """
@@ -197,16 +192,32 @@ class WearerResultCache:
             self._index = self._scan_index()
         return self._index
 
+    def _write_atomic(self, path: pathlib.Path, text: str) -> None:
+        """fsync ``text`` into a temp file of this writer's own, then
+        rename it over ``path`` (readers see old or new, never torn)."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=path.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
     def _save_index(self) -> None:
         if self._index is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._index, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.index_path)
+        self._write_atomic(
+            self.index_path, json.dumps(self._index, sort_keys=True)
+        )
 
     def _touch(self, fingerprint: str, size: Optional[int] = None) -> None:
         """Mark ``fingerprint`` most-recently-used (in memory; persisted
@@ -324,18 +335,11 @@ class WearerResultCache:
                 f"wearer cache entry {fingerprint} already holds different "
                 "bytes — two executions of the same wearer disagreed"
             )
-        path = self.path_for(fingerprint)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
         blob = (
             seal_envelope(projected, WEARER_CACHE_VERSION, key="summary")
             + "\n"
         )
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        self._write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
         self._touch(fingerprint, size=len(blob.encode("utf-8")))
         self._evict_over_caps(protect=fingerprint)

@@ -1,13 +1,15 @@
 """Worker agent: turn any host into simulation capacity for the fabric.
 
 ``hi-explore worker --coordinator URL --workdir DIR`` runs a pull→run→
-commit loop against the campaign coordinator's lease endpoints
-(:mod:`repro.campaign.queue` via :mod:`repro.campaign.service`):
+commit loop against the coordinator's one worker-plane RPC,
+``POST /fabric/sync`` (:mod:`repro.campaign.service` over
+:mod:`repro.campaign.queue`).  Each call carries any of three entry
+lists — ``commits``, ``releases``, ``heartbeats`` — plus an optional
+acquisition, and every entry comes back with its own status:
 
-1. **pull** — one ``POST /fabric/sync`` round-trip both renews any held
-   lease and acquires new work (the coordinator hands out shards
-   round-robin across active campaigns, with cached wearer summaries
-   prefetched onto the lease payload);
+1. **pull** — a sync with ``acquire`` set grants new work (the
+   coordinator hands out shards round-robin across active campaigns,
+   with cached wearer summaries prefetched onto the lease payload);
 2. **run** — execute the leased shard's wearers through the *same*
    :func:`repro.campaign.runner.run_wearer_task` the single-host runner
    uses, journaled under ``<workdir>/<campaign>/shards/shard-NN/`` — so
@@ -17,11 +19,13 @@ commit loop against the campaign coordinator's lease endpoints
    re-simulation.  Before simulating, each wearer is looked up in the
    cross-campaign wearer cache (coordinator prefetch first, then the
    worker's local store) — a hit is a file write, not a simulation.  A
-   background thread heartbeats the lease the whole time, and on a
-   *split* shard the heartbeat response names the wearers thieves have
+   background thread sends heartbeat entries the whole time, and on a
+   *split* shard the heartbeat answer names the wearers thieves have
    taken, which the run loop then skips;
-3. **commit** — upload the per-wearer summaries with a content CRC.
-   Commits are idempotent on the coordinator, so losing the lease
+3. **commit** — a sync commit entry uploads the per-wearer summaries
+   with a content CRC (a 409 answer is a determinism violation:
+   :class:`CommitDiverged`, worker exit code 3).  Commits are
+   idempotent on the coordinator, so losing the lease
    mid-run is harmless: the worker still commits what it computed, and
    whichever execution lands first wins (the bytes are identical by
    determinism).  On a split shard any subset commits cleanly.
@@ -570,12 +574,27 @@ class WorkerAgent:
             resumed=resumed, is_sub=is_sub,
         )
 
+    def _sync_entry(
+        self, key: str, entry: dict, attempts: int = MAX_RPC_ATTEMPTS
+    ) -> Tuple[int, dict]:
+        """Send one ``commits`` or ``releases`` entry in a sync that
+        acquires nothing.  Returns the entry's own status and answer, or
+        the HTTP status and error body when the sync itself failed."""
+        status, response = self._rpc(
+            "POST", "/fabric/sync",
+            {"worker": self.name, "acquire": False, key: [entry]},
+            attempts=attempts,
+        )
+        if status != 200:
+            return status, response
+        answer = (response.get(key) or [{}])[0]
+        return int(answer.get("status", 500)), answer
+
     def _release(self, campaign_id: str, token: str, reason: str) -> None:
         try:
-            self._rpc(
-                "POST",
-                f"/campaigns/{campaign_id}/leases/{token}/release",
-                {"reason": reason},
+            self._sync_entry(
+                "releases",
+                {"campaign": campaign_id, "token": token, "reason": reason},
                 attempts=2,
             )
             self._log(f"released lease on {campaign_id} ({reason})")
@@ -589,15 +608,15 @@ class WorkerAgent:
         summaries: Dict[str, dict], resumed: int = 0,
         is_sub: bool = False,
     ) -> bool:
-        payload = {
-            "worker": self.name,
-            "token": token,
-            "crc": shard_payload_crc(summaries),
-            "summaries": summaries,
-        }
-        status, response = self._rpc(
-            "POST", f"/campaigns/{campaign_id}/shards/{shard}/complete",
-            payload,
+        status, response = self._sync_entry(
+            "commits",
+            {
+                "campaign": campaign_id,
+                "shard": shard,
+                "token": token,
+                "crc": shard_payload_crc(summaries),
+                "summaries": summaries,
+            },
         )
         if status == 409:
             raise CommitDiverged(

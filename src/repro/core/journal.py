@@ -81,20 +81,19 @@ class JournalError(RuntimeError):
     """A journal could not be created, replayed, or matched to its run."""
 
 
-def _canonical(payload: dict) -> str:
+def canonical_json(payload) -> str:
+    """The one canonical JSON spelling (sorted keys, no whitespace) that
+    every fingerprint, CRC and content digest in the package hashes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _crc(payload: dict) -> str:
-    return format(zlib.crc32(_canonical(payload).encode("utf-8")), "08x")
-
-
 def payload_crc(payload: dict) -> str:
-    """CRC32 of a payload's canonical JSON form — the integrity token the
-    campaign fabric uses to key idempotent shard commits (a worker and
-    the coordinator computing this over the same dict always agree,
-    because canonicalization sorts keys and fixes separators)."""
-    return _crc(payload)
+    """CRC32 (8 hex digits) of a payload's canonical JSON form — the
+    integrity token of journal lines, manifests, cache envelopes and
+    idempotent shard commits (any two parties computing this over the
+    same dict agree, because canonicalization sorts keys and fixes
+    separators)."""
+    return format(zlib.crc32(canonical_json(payload).encode("utf-8")), "08x")
 
 
 def _load_entries(path: pathlib.Path):
@@ -129,7 +128,7 @@ def _load_entries(path: pathlib.Path):
             if (
                 isinstance(wrapper, dict)
                 and isinstance(wrapper.get("entry"), dict)
-                and wrapper.get("crc") == _crc(wrapper["entry"])
+                and wrapper.get("crc") == payload_crc(wrapper["entry"])
             ):
                 entry = wrapper["entry"]
         except ValueError:
@@ -197,7 +196,7 @@ def _write_checked_json(path: pathlib.Path, payload: dict) -> pathlib.Path:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(
-            {"crc": _crc(payload), "manifest": payload},
+            {"crc": payload_crc(payload), "manifest": payload},
             fh,
             indent=1,
             sort_keys=True,
@@ -219,7 +218,9 @@ def _load_checked_json(path: pathlib.Path, what: str) -> dict:
     except ValueError as exc:
         raise JournalError(f"unreadable {what} at {path}: {exc}") from None
     manifest = wrapper.get("manifest") if isinstance(wrapper, dict) else None
-    if not isinstance(manifest, dict) or wrapper.get("crc") != _crc(manifest):
+    if not isinstance(manifest, dict) or (
+        wrapper.get("crc") != payload_crc(manifest)
+    ):
         raise JournalError(f"corrupt {what} at {path} (CRC mismatch)")
     return manifest
 
@@ -358,7 +359,7 @@ class EventLog:
         """Durably append one event (flushed + fsynced before returning)."""
         if self._fh is None:
             raise JournalError(f"event log {self.path} is closed")
-        line = json.dumps({"crc": _crc(entry), "entry": entry})
+        line = json.dumps({"crc": payload_crc(entry), "entry": entry})
         self._fh.write(line + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -447,7 +448,7 @@ class EventLogFollower:
                 if (
                     isinstance(wrapper, dict)
                     and isinstance(wrapper.get("entry"), dict)
-                    and wrapper.get("crc") == _crc(wrapper["entry"])
+                    and wrapper.get("crc") == payload_crc(wrapper["entry"])
                 ):
                     entry = wrapper["entry"]
             except (ValueError, UnicodeDecodeError):
@@ -560,7 +561,7 @@ class RunJournal:
     def _append(self, entry: dict) -> None:
         if self._fh is None:
             raise JournalError("journal is closed")
-        line = json.dumps({"crc": _crc(entry), "entry": entry})
+        line = json.dumps({"crc": payload_crc(entry), "entry": entry})
         self._fh.write(line + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -577,8 +578,8 @@ class RunJournal:
                 raise JournalError(
                     f"resumed trajectory diverged from the journal at "
                     f"entry {self._cursor + 1} ({what}): journal has "
-                    f"{_canonical(expected)[:200]}, the run produced "
-                    f"{_canonical(entry)[:200]}"
+                    f"{canonical_json(expected)[:200]}, the run produced "
+                    f"{canonical_json(entry)[:200]}"
                 )
             self._cursor += 1
             return False

@@ -131,12 +131,24 @@ def _maybe_chaos_crash() -> None:
 def pool_task(fn: Callable, task):
     """The wrapper actually submitted to worker processes.
 
-    Exists so the chaos-crash hook runs *only* inside pool workers —
-    serial, quarantine, and degraded paths call ``fn`` directly in the
-    parent and are never chaos targets.
+    Runs ``fn`` under a fresh ambient metrics registry (the tracer is
+    kept) and returns ``(result, counters)``: the counter increments the
+    task made, which :meth:`WorkerPool.map_ordered` adds to the parent's
+    registry — so ``--metrics-out`` totals do not depend on ``--jobs``.
+    Also the only place the chaos-crash hook runs: serial, quarantine,
+    and degraded paths call ``fn`` directly in the parent and are never
+    chaos targets.
     """
+    from repro.obs import runtime
+    from repro.obs.metrics import MetricsRegistry
+
     _maybe_chaos_crash()
-    return fn(task)
+    child = runtime.Instrumentation(
+        MetricsRegistry(), runtime.get_active().tracer
+    )
+    with runtime.activate(child):
+        result = fn(task)
+    return result, child.metrics.counter_values()
 
 
 def _observe(kind: str, counter: Optional[str] = None, **fields) -> None:
@@ -288,6 +300,7 @@ class WorkerPool:
         on_result: Optional[Callable] = None,
     ) -> List:
         results: List = [None] * len(tasks)
+        counters: List[dict] = [{} for _ in tasks]
         pending = set(range(len(tasks)))
         strikes = [0] * len(tasks)
         respawns_this_call = 0
@@ -297,6 +310,10 @@ class WorkerPool:
             pending.discard(i)
             if on_result is not None:
                 on_result(i, results[i])
+
+        def _collected(i: int, packed: Tuple) -> None:
+            results[i], counters[i] = packed
+            _done(i)
 
         while pending:
             # Quarantine poison suspects: run them here in the parent,
@@ -319,7 +336,7 @@ class WorkerPool:
                 for i in sorted(pending):
                     results[i] = fn(tasks[i])
                     _done(i)
-                return results
+                break
 
             executor = self._ensure_executor()
             order = sorted(pending)
@@ -338,10 +355,9 @@ class WorkerPool:
                 if i not in futures or hung is not None:
                     continue
                 try:
-                    results[i] = futures[i].result(
-                        timeout=self.task_timeout_s
+                    _collected(
+                        i, futures[i].result(timeout=self.task_timeout_s)
                     )
-                    _done(i)
                 except FutureTimeout:
                     hung = i
                     failed.append(i)
@@ -357,8 +373,7 @@ class WorkerPool:
                         fut = futures[j]
                         if fut.done():
                             try:
-                                results[j] = fut.result(timeout=0)
-                                _done(j)
+                                _collected(j, fut.result(timeout=0))
                             except Exception:
                                 failed.append(j)
 
@@ -403,6 +418,14 @@ class WorkerPool:
             self._backoff(round_index)
             round_index += 1
 
+        # Children's counters join the parent's in task order, so float
+        # totals are the same sums whatever order the tasks finished in.
+        from repro.obs import runtime
+
+        metrics = runtime.get_active().metrics
+        for task_counters in counters:
+            for name, value in task_counters.items():
+                metrics.counter(name).inc(value)
         return results
 
     def shutdown(self) -> None:

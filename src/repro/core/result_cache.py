@@ -41,9 +41,9 @@ import hashlib
 import json
 import os
 import pathlib
-import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.journal import canonical_json, payload_crc
 from repro.net.network import SimulationOutcome
 
 #: Version stamp written into each cache-line envelope; bump when the
@@ -91,7 +91,7 @@ def scenario_fingerprint(scenario) -> str:
         for f in dataclasses.fields(scenario)
         if f.name not in EXECUTION_ONLY_FIELDS
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = canonical_json(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -169,12 +169,6 @@ def record_from_dict(payload: dict):
     )
 
 
-def envelope_crc(body: dict) -> str:
-    """CRC32 (hex) over a JSON body's canonical serialization."""
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(blob.encode("utf-8")), "08x")
-
-
 def seal_envelope(body: dict, version: int, key: str = "record") -> str:
     """One CRC32-sealed, version-stamped JSON envelope.
 
@@ -183,7 +177,7 @@ def seal_envelope(body: dict, version: int, key: str = "record") -> str:
     cache keeps one sealed summary per file): a ``{"v", "crc", <key>}``
     wrapper whose CRC covers the canonical JSON of the body alone.
     """
-    return json.dumps({"v": version, "crc": envelope_crc(body), key: body})
+    return json.dumps({"v": version, "crc": payload_crc(body), key: body})
 
 
 def open_envelope(text: str, version: int, key: str = "record") -> dict:
@@ -200,13 +194,9 @@ def open_envelope(text: str, version: int, key: str = "record") -> dict:
     body = payload.get(key)
     if not isinstance(body, dict):
         raise ValueError(f"envelope has no {key!r} body")
-    if payload.get("crc") != envelope_crc(body):
+    if payload.get("crc") != payload_crc(body):
         raise ValueError("envelope failed CRC32 check")
     return body
-
-
-def _record_crc(record_dict: dict) -> str:
-    return envelope_crc(record_dict)
 
 
 def encode_cache_line(record) -> str:

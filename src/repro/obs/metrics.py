@@ -178,6 +178,15 @@ class MetricsRegistry:
         for instrument in self._instruments.values():
             instrument.reset()  # type: ignore[attr-defined]
 
+    def counter_values(self) -> Dict[str, Union[int, float]]:
+        """name → value of every non-zero counter (what a pool child
+        ships back for its parent to add)."""
+        return {
+            name: instrument.value
+            for name, instrument in self._instruments.items()
+            if isinstance(instrument, Counter) and instrument.value
+        }
+
     def to_dict(self) -> Dict[str, dict]:
         """JSON-serializable snapshot of every instrument, sorted by name."""
         return {

@@ -11,10 +11,12 @@ The ambient default uses a process-global registry and the no-op tracer,
 so uninstrumented programs pay one function call plus a counter add per
 *milestone* (per simulation run, per LP solve — never per event or per
 pivot).  The CLI activates a real tracer for the duration of a run with
-:func:`activate`; worker processes spawned by the oracle keep the no-op
-default, which is why oracle- and explorer-level events (emitted in the
-parent) remain complete under parallel fan-out while per-replicate DES
-milestones are only traced in serial runs.
+:func:`activate`.  Pool worker processes run each task under a fresh
+registry and ship its counter increments back with the result
+(:func:`repro.core.parallel.pool_task`), so counter totals are the same
+at any ``--jobs``; oracle- and explorer-level events are emitted in the
+parent and stay complete under fan-out, while per-replicate DES
+milestones are only traced reliably in serial runs.
 """
 
 from __future__ import annotations

@@ -21,14 +21,13 @@ import threading
 
 import pytest
 
-from repro.campaign.queue import shard_payload_crc
 from repro.campaign.runner import run_campaign, run_wearer_task, wearer_run_dir
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import make_population
 from repro.campaign.worker import WorkerAgent
 from repro.core.journal import JOURNAL_FILENAME, SUMMARY_FILENAME
 
-from tests.test_campaign_service import _request
+from tests import fabric_wire as wire
 
 
 def _spec(size=4, name="fleet", base_seed=40):
@@ -49,15 +48,6 @@ def golden(tmp_path_factory):
         "aggregate": (directory / "aggregate.json").read_bytes(),
         "atlas": (directory / "atlas.json").read_bytes(),
     }
-
-
-async def _submit_fleet(port, spec):
-    status, payload = await _request(
-        port, "POST", "/campaigns", {**spec.to_dict(), "execution": "fleet"}
-    )
-    assert status in (200, 202)
-    assert payload["state"] in ("fleet", "done")
-    return payload["id"]
 
 
 def _agent(port, workdir, name, **kwargs):
@@ -92,7 +82,7 @@ class TestFleetExecution:
             service = CampaignService(tmp_path / "coord", lease_ttl=30.0)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, golden["spec"])
+                cid = await wire.submit_fleet(port, golden["spec"])
                 workers = [
                     _agent(port, tmp_path / "work", f"w{i}")
                     for i in (1, 2)
@@ -100,7 +90,7 @@ class TestFleetExecution:
                 codes = await _drain_workers(workers)
                 assert set(codes.values()) == {0}
 
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert (status, payload["state"]) == (200, "done")
@@ -110,7 +100,7 @@ class TestFleetExecution:
                     s["state"] == "committed" for s in payload["shards"]
                 )
 
-                status, result = await _request(
+                status, result = await wire.request(
                     port, "GET", f"/campaigns/{cid}/result"
                 )
                 assert status == 200
@@ -143,13 +133,13 @@ class TestFleetExecution:
             )
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, spec)
+                cid = await wire.submit_fleet(port, spec)
                 # "dead" worker: leases the (single) shard over the real
                 # wire, runs two wearers, then vanishes — no heartbeat,
                 # no commit.
-                status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "doomed"},
+                status, payload = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync("doomed", acquire=True),
                 )
                 assert status == 200 and payload["lease"]
                 lease = payload["lease"]
@@ -192,7 +182,7 @@ class TestFleetExecution:
                 assert rescuer.wearers_run == len(spec.wearers)
                 assert rescuer.wearers_resumed >= 2
 
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert payload["state"] == "done"
@@ -225,12 +215,12 @@ class TestFleetHotPath:
             service = CampaignService(tmp_path / "coord", lease_ttl=30.0)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cold_id = await _submit_fleet(port, golden["spec"])
+                cold_id = await wire.submit_fleet(port, golden["spec"])
                 cold = _agent(port, tmp_path / "work-cold", "w-cold")
                 codes = await _drain_workers([cold])
                 assert codes == {"w-cold": 0}
 
-                warm_id = await _submit_fleet(port, warm_spec)
+                warm_id = await wire.submit_fleet(port, warm_spec)
                 warm = _agent(port, tmp_path / "work-warm", "w-warm")
                 codes = await _drain_workers([warm])
                 assert codes == {"w-warm": 0}
@@ -272,7 +262,7 @@ class TestFleetHotPath:
             )
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, spec)
+                cid = await wire.submit_fleet(port, spec)
                 slow = _agent(
                     port, tmp_path / "work-slow", "slow", throttle_s=0.6
                 )
@@ -289,7 +279,7 @@ class TestFleetHotPath:
                 # the slow worker must own the shard before the fast one
                 # arrives, or there is nothing to steal
                 while True:
-                    status, payload = await _request(
+                    status, payload = await wire.request(
                         port, "GET", f"/campaigns/{cid}/status"
                     )
                     if not payload["queue"]["pending"]:
@@ -303,7 +293,7 @@ class TestFleetHotPath:
                     await asyncio.sleep(0.1)
                 assert set(codes.values()) == {0}
 
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert payload["state"] == "done"
@@ -348,44 +338,39 @@ class TestCommitProtocol:
             service = CampaignService(tmp_path / "coord", shards=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, spec)
-                status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w1"},
+                cid = await wire.submit_fleet(port, spec)
+                status, payload = await wire.request(
+                    port, "POST", "/fabric/sync", wire.sync(acquire=True)
                 )
                 lease = payload["lease"]
                 summaries = self._fake_summaries(lease)
-                commit = {
-                    "worker": "w1",
-                    "token": lease["token"],
-                    "crc": shard_payload_crc(summaries),
-                    "summaries": summaries,
-                }
-                path = f"/campaigns/{cid}/shards/{lease['shard']}/complete"
 
-                status, first = await _request(port, "POST", path, commit)
-                assert (status, first["duplicate"]) == (200, False)
+                async def commit(summaries, crc=None):
+                    status, sync = await wire.request(
+                        port, "POST", "/fabric/sync",
+                        wire.sync(commits=[
+                            wire.commit(cid, lease, summaries, crc)
+                        ]),
+                    )
+                    assert status == 200
+                    return sync["commits"][0]
+
+                first = await commit(summaries)
+                assert (first["status"], first["duplicate"]) == (200, False)
                 assert first["campaign_state"] == "done"
 
                 # identical double-commit: accepted as a no-op
-                status, second = await _request(port, "POST", path, commit)
-                assert (status, second["duplicate"]) == (200, True)
+                second = await commit(summaries)
+                assert (second["status"], second["duplicate"]) == (200, True)
 
                 # divergent bytes for the same shard: integrity error
-                divergent = self._fake_summaries(lease, tag="b")
-                status, refused = await _request(
-                    port, "POST", path,
-                    {**commit, "crc": shard_payload_crc(divergent),
-                     "summaries": divergent},
-                )
-                assert status == 409
+                refused = await commit(self._fake_summaries(lease, tag="b"))
+                assert refused["status"] == 409
                 assert "integrity" in refused["error"]
 
                 # a corrupt upload (CRC does not match content) is 400
-                status, refused = await _request(
-                    port, "POST", path, {**commit, "crc": "deadbeef"}
-                )
-                assert status == 400
+                refused = await commit(summaries, crc="deadbeef")
+                assert refused["status"] == 400
             finally:
                 await service.stop()
 
@@ -398,31 +383,37 @@ class TestCommitProtocol:
             service = CampaignService(tmp_path / "coord", shards=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, spec)
-                # heartbeat on a never-granted token
-                status, payload = await _request(
-                    port, "POST",
-                    f"/campaigns/{cid}/leases/nosuchtoken/heartbeat",
-                )
-                assert status == 410
-                # lease endpoints on an unknown campaign
-                status, payload = await _request(
-                    port, "POST", "/campaigns/feedfacefeedface/leases",
-                    {"worker": "w1"},
-                )
-                assert status == 404
-                # lease endpoints on a local-execution campaign
+                cid = await wire.submit_fleet(port, spec)
                 local = _spec(size=2, name="localonly")
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "POST", "/campaigns", local.to_dict()
                 )
                 assert status in (200, 202)
-                status, payload = await _request(
-                    port, "POST",
-                    f"/campaigns/{local.fingerprint()}/leases",
-                    {"worker": "w1"},
+                release = {"token": "nosuchtoken"}
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(
+                        # heartbeat and release of a never-granted token
+                        heartbeats=[{"campaign": cid, "token": "t"}],
+                        releases=[
+                            {**release, "campaign": cid},
+                            # an unknown campaign
+                            {**release, "campaign": "feedfacefeedface"},
+                            # a local-execution campaign (no queue)
+                            {**release, "campaign": local.fingerprint()},
+                            # a malformed campaign id
+                            {**release, "campaign": "../etc"},
+                        ],
+                        # a commit naming no shard
+                        commits=[{"campaign": cid, "summaries": {}}],
+                    ),
                 )
-                assert status == 409
+                assert status == 200
+                assert sync["heartbeats"][0]["status"] == 410
+                assert [r["status"] for r in sync["releases"]] == [
+                    410, 404, 409, 400,
+                ]
+                assert sync["commits"][0]["status"] == 400
                 await service.join()
             finally:
                 await service.stop()
@@ -440,21 +431,17 @@ class TestCommitProtocol:
             service = CampaignService(root, shards=2)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, spec)
-                status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w1"},
+                cid = await wire.submit_fleet(port, spec)
+                status, payload = await wire.request(
+                    port, "POST", "/fabric/sync", wire.sync(acquire=True)
                 )
                 lease = payload["lease"]
                 summaries = self._fake_summaries(lease)
-                status, _ = await _request(
-                    port, "POST",
-                    f"/campaigns/{cid}/shards/{lease['shard']}/complete",
-                    {"worker": "w1", "token": lease["token"],
-                     "crc": shard_payload_crc(summaries),
-                     "summaries": summaries},
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(commits=[wire.commit(cid, lease, summaries)]),
                 )
-                assert status == 200
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
                 return cid
             finally:
                 await service.stop()  # no drain: leases stay in the log
@@ -463,33 +450,29 @@ class TestCommitProtocol:
             service = CampaignService(root, shards=2)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert status == 200
                 assert payload["state"] == "fleet"
                 assert payload["queue"]["committed"] >= 1
-                # a fresh worker finishes the remaining shards
-                status, grant = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w2"},
-                )
-                while grant["lease"]:
-                    lease = grant["lease"]
-                    summaries = self._fake_summaries(lease)
-                    status, done = await _request(
-                        port, "POST",
-                        f"/campaigns/{cid}/shards/{lease['shard']}/complete",
-                        {"worker": "w2", "token": lease["token"],
-                         "crc": shard_payload_crc(summaries),
-                         "summaries": summaries},
+                # a fresh worker finishes the remaining shards, each
+                # commit riding the sync that asks for the next lease
+                commits = []
+                while True:
+                    status, grant = await wire.request(
+                        port, "POST", "/fabric/sync",
+                        wire.sync("w2", acquire=True, commits=commits),
                     )
                     assert status == 200
-                    status, grant = await _request(
-                        port, "POST", f"/campaigns/{cid}/leases",
-                        {"worker": "w2"},
-                    )
-                status, payload = await _request(
+                    assert all(c["status"] == 200 for c in grant["commits"])
+                    lease = grant["lease"]
+                    if not lease:
+                        break
+                    commits = [wire.commit(
+                        cid, lease, self._fake_summaries(lease)
+                    )]
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert payload["state"] == "done"
@@ -574,7 +557,7 @@ class TestHardenedWorker:
             )
             _, port = await service.start("127.0.0.1", 0)
             try:
-                cid = await _submit_fleet(port, golden["spec"])
+                cid = await wire.submit_fleet(port, golden["spec"])
                 workers = [
                     _agent(port, tmp_path / "work", f"w{i}",
                            fabric_secret=secret)
@@ -582,7 +565,7 @@ class TestHardenedWorker:
                 ]
                 codes = await _drain_workers(workers)
                 assert set(codes.values()) == {0}
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert (status, payload["state"]) == (200, "done")

@@ -18,39 +18,15 @@ import pytest
 from repro.campaign.runner import run_campaign
 from repro.campaign.service import SERVICE_LOG_FILENAME, CampaignService
 from repro.campaign.spec import make_population
-from repro.campaign.wearer_cache import summary_crc, wearer_fingerprint
+from repro.campaign.wearer_cache import wearer_fingerprint
 from repro.core.journal import write_campaign_manifest
 
-
-async def _request(port, method, path, payload=None):
-    """One HTTP exchange against loopback; returns (status, json_body)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            "Host: test\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    status = int(head_blob.split()[1])
-    return status, json.loads(body_blob.decode("utf-8"))
+from tests import fabric_wire as wire
 
 
 async def _poll_until(port, campaign_id, states, attempts=600):
     for _ in range(attempts):
-        status, payload = await _request(
+        status, payload = await wire.request(
             port, "GET", f"/campaigns/{campaign_id}"
         )
         assert status == 200
@@ -73,11 +49,11 @@ class TestServiceApi:
             service = CampaignService(tmp_path, jobs=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, health = await _request(port, "GET", "/healthz")
+                status, health = await wire.request(port, "GET", "/healthz")
                 assert (status, health["ok"]) == (200, True)
 
                 spec = _spec()
-                status, sub = await _request(
+                status, sub = await wire.request(
                     port, "POST", "/campaigns", spec.to_dict()
                 )
                 assert status == 202
@@ -90,7 +66,7 @@ class TestServiceApi:
                 assert final["state"] == "done"
                 assert final["wearers_done"] == final["wearers_total"] == 6
 
-                status, result = await _request(
+                status, result = await wire.request(
                     port, "GET", f"/campaigns/{sub['id']}/result"
                 )
                 assert status == 200
@@ -106,7 +82,7 @@ class TestServiceApi:
                     ("telemetry.json", "campaign_telemetry"),
                     ("campaign.json", None),
                 ):
-                    status, artifact = await _request(
+                    status, artifact = await wire.request(
                         port, "GET",
                         f"/campaigns/{sub['id']}/artifacts/{name}",
                     )
@@ -115,14 +91,14 @@ class TestServiceApi:
                         assert artifact["kind"] == kind
 
                 # resubmission is idempotent: same id, already done, 200
-                status, again = await _request(
+                status, again = await wire.request(
                     port, "POST", "/campaigns", spec.to_dict()
                 )
                 assert (status, again["id"], again["state"]) == (
                     200, sub["id"], "done"
                 )
 
-                status, listing = await _request(port, "GET", "/campaigns")
+                status, listing = await wire.request(port, "GET", "/campaigns")
                 assert status == 200
                 assert [c["id"] for c in listing["campaigns"]] == [sub["id"]]
             finally:
@@ -137,7 +113,7 @@ class TestServiceApi:
             _, port = await service.start("127.0.0.1", 0)
             try:
                 spec = _spec(size=1, base_seed=77, name="wrapped")
-                status, sub = await _request(
+                status, sub = await wire.request(
                     port, "POST", "/campaigns", {"spec": spec.to_dict()}
                 )
                 assert status == 202
@@ -154,16 +130,16 @@ class TestServiceApi:
             service = CampaignService(tmp_path, jobs=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, err = await _request(port, "GET", "/campaigns/feed")
+                status, err = await wire.request(port, "GET", "/campaigns/feed")
                 assert status == 404 and "unknown campaign" in err["error"]
 
-                status, err = await _request(port, "GET", "/nope")
+                status, err = await wire.request(port, "GET", "/nope")
                 assert status == 404
 
-                status, err = await _request(port, "DELETE", "/campaigns")
+                status, err = await wire.request(port, "DELETE", "/campaigns")
                 assert status == 405
 
-                status, err = await _request(port, "POST", "/healthz")
+                status, err = await wire.request(port, "POST", "/healthz")
                 assert status == 405
 
                 # invalid JSON and invalid specs are 400, not crashes
@@ -180,7 +156,7 @@ class TestServiceApi:
                 await writer.wait_closed()
                 assert b"400" in raw.split(b"\r\n", 1)[0]
 
-                status, err = await _request(
+                status, err = await wire.request(
                     port, "POST", "/campaigns", {"wearers": []}
                 )
                 assert status == 400 and "bad campaign spec" in err["error"]
@@ -192,13 +168,13 @@ class TestServiceApi:
                 limbo = tmp_path / cid
                 limbo.mkdir()
                 write_campaign_manifest(limbo, spec.to_dict(), cid, 1)
-                status, st = await _request(port, "GET", f"/campaigns/{cid}")
+                status, st = await wire.request(port, "GET", f"/campaigns/{cid}")
                 assert (status, st["state"]) == (200, "interrupted")
-                status, err = await _request(
+                status, err = await wire.request(
                     port, "GET", f"/campaigns/{cid}/result"
                 )
                 assert status == 409 and "no aggregate" in err["error"]
-                status, err = await _request(
+                status, err = await wire.request(
                     port, "GET", f"/campaigns/{cid}/artifacts/journal.jsonl"
                 )
                 assert status == 404  # journals are replay state, not artifacts
@@ -247,7 +223,7 @@ class TestServiceRecovery:
             try:
                 final = await _poll_until(port, cid, ("done", "failed"))
                 assert final["state"] == "done"
-                status, result = await _request(
+                status, result = await wire.request(
                     port, "GET", f"/campaigns/{cid}/result"
                 )
                 assert status == 200
@@ -268,7 +244,7 @@ class TestServiceRecovery:
             service = CampaignService(tmp_path, jobs=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, payload = await _request(
+                status, payload = await wire.request(
                     port, "GET", "/campaigns/feedfacecafe0000"
                 )
                 assert status == 200
@@ -281,15 +257,6 @@ class TestServiceRecovery:
         asyncio.run(scenario())
 
 
-async def _submit_fleet(port, spec):
-    status, sub = await _request(
-        port, "POST", "/campaigns",
-        {"spec": spec.to_dict(), "execution": "fleet"},
-    )
-    assert status == 202
-    return sub["id"]
-
-
 def _cacheable_summary(tag="a"):
     return {
         "status": "infeasible",
@@ -300,58 +267,160 @@ def _cacheable_summary(tag="a"):
 
 
 class TestFabricEndpoints:
-    """The PR 9 surface: wearer-cache GET/PUT, batched /fabric/sync,
-    round-robin lease fairness, and keep-alive connections."""
+    """The worker plane: batched /fabric/sync (commits, releases,
+    heartbeats, acquisition), the wearer cache it feeds, round-robin
+    lease fairness, and keep-alive connections."""
 
     def test_wearer_cache_roundtrip_and_integrity(self, tmp_path):
+        """Sync commits feed the coordinator's wearer cache; the same
+        wearer under another campaign name gets the cached summary on
+        its lease; corrupt or divergent commits never change it."""
         async def scenario():
             service = CampaignService(tmp_path)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, err = await _request(
-                    port, "GET", "/cache/wearers/ab12"
+                first = _spec(size=1, base_seed=55, name="cache-a")
+                fingerprint = wearer_fingerprint(
+                    first.preset, first.wearers[0]
                 )
-                assert status == 404
-
+                cid = await wire.submit_fleet(port, first)
+                _, grant = await wire.request(
+                    port, "POST", "/fabric/sync", wire.sync(acquire=True)
+                )
+                lease = grant["lease"]
+                wearer_id = lease["wearers"][0]["wearer_id"]
                 summary = _cacheable_summary()
-                good = {"summary": summary, "crc": summary_crc(summary)}
-                status, put = await _request(
-                    port, "PUT", "/cache/wearers/ab12", good
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(commits=[
+                        wire.commit(cid, lease, {wearer_id: summary})
+                    ]),
                 )
-                assert (status, put["stored"]) == (200, True)
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
+                assert service.wearer_cache.get(fingerprint)["tag"] == "a"
 
-                status, got = await _request(
-                    port, "GET", "/cache/wearers/ab12"
+                second = _spec(size=1, base_seed=55, name="cache-b")
+                cid2 = await wire.submit_fleet(port, second)
+                _, grant = await wire.request(
+                    port, "POST", "/fabric/sync", wire.sync(acquire=True)
+                )
+                lease = grant["lease"]
+                assert grant["campaign"] == cid2
+                assert lease["cached"][wearer_id]["tag"] == "a"
+
+                # corrupted upload: the crc does not match the bytes
+                other = {wearer_id: _cacheable_summary("b")}
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(commits=[
+                        wire.commit(cid2, lease, other, crc="deadbeef")
+                    ]),
+                )
+                assert (status, sync["commits"][0]["status"]) == (200, 400)
+
+                # divergent bytes for a cached wearer: the commit stands
+                # for its own campaign, the cache keeps the first bytes
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(commits=[wire.commit(cid2, lease, other)]),
+                )
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
+                assert service.wearer_cache.get(fingerprint)["tag"] == "a"
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_sync_commits_then_releases_then_heartbeats(self, tmp_path):
+        """One sync carries all three entry kinds; commits land first and
+        releases next, so heartbeats for both tokens find them gone."""
+        async def scenario():
+            service = CampaignService(tmp_path, shards=2)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                cid = await wire.submit_fleet(
+                    port, _spec(size=6, base_seed=56, name="order")
+                )
+                leases = []
+                for worker in ("w1", "w2"):
+                    _, grant = await wire.request(
+                        port, "POST", "/fabric/sync",
+                        wire.sync(worker, acquire=True),
+                    )
+                    leases.append(grant["lease"])
+                assert sorted(lease["shard"] for lease in leases) == [0, 1]
+                done, back = leases
+                summaries = {
+                    w["wearer_id"]: _cacheable_summary()
+                    for w in done["wearers"]
+                }
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(
+                        commits=[wire.commit(cid, done, summaries)],
+                        releases=[{"campaign": cid, "token": back["token"],
+                                   "reason": "test"}],
+                        heartbeats=[
+                            {"campaign": cid, "token": lease["token"]}
+                            for lease in leases
+                        ],
+                    ),
                 )
                 assert status == 200
-                assert got["crc"] == summary_crc(summary)
-                assert got["summary"]["status"] == "infeasible"
+                assert sync["commits"][0]["status"] == 200
+                assert sync["commits"][0]["duplicate"] is False
+                assert sync["releases"][0]["status"] == 200
+                assert sync["releases"][0]["state"] == "pending"
+                assert [h["status"] for h in sync["heartbeats"]] == [410, 410]
+                assert sync["lease"] is None  # acquire was off
 
-                # idempotent repeat: stored=False, not an error
-                status, put = await _request(
-                    port, "PUT", "/cache/wearers/ab12", good
+                # releasing twice: the token is gone
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync",
+                    wire.sync(releases=[
+                        {"campaign": cid, "token": back["token"]}
+                    ]),
                 )
-                assert (status, put["stored"]) == (200, False)
+                assert sync["releases"][0]["status"] == 410
+            finally:
+                await service.stop()
 
-                # corrupted upload: crc does not match the bytes
-                status, err = await _request(
-                    port, "PUT", "/cache/wearers/ab12",
-                    {"summary": summary, "crc": "deadbeef"},
-                )
-                assert status == 400
+        asyncio.run(scenario())
 
-                # divergence: same fingerprint, different bytes → 409
-                other = _cacheable_summary("b")
-                status, err = await _request(
-                    port, "PUT", "/cache/wearers/ab12",
-                    {"summary": other, "crc": summary_crc(other)},
+    def test_deleted_worker_routes_refuse_and_mutate_nothing(
+        self, tmp_path
+    ):
+        """Only /fabric/sync and /fabric/promote serve workers: the old
+        per-campaign lease, commit and wearer-cache paths answer 4xx and
+        leave every file under the root as it was."""
+        async def scenario():
+            service = CampaignService(tmp_path, shards=1)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                spec = _spec(size=1, base_seed=57, name="gone")
+                cid = await wire.submit_fleet(port, spec)
+                _, grant = await wire.request(
+                    port, "POST", "/fabric/sync", wire.sync(acquire=True)
                 )
-                assert status == 409
-
-                status, err = await _request(
-                    port, "GET", "/cache/wearers/NOT-HEX"
-                )
-                assert status == 400
+                lease = grant["lease"]
+                summaries = {
+                    w["wearer_id"]: _cacheable_summary()
+                    for w in lease["wearers"]
+                }
+                body = {"worker": "w1", **wire.commit(cid, lease, summaries)}
+                before = wire.snapshot(tmp_path)
+                token = lease["token"]
+                for method, path in (
+                    ("POST", f"/campaigns/{cid}/leases"),
+                    ("POST", f"/campaigns/{cid}/leases/{token}/heartbeat"),
+                    ("POST", f"/campaigns/{cid}/leases/{token}/release"),
+                    ("POST", f"/campaigns/{cid}/shards/0/complete"),
+                    ("GET", "/cache/wearers/ab12"),
+                    ("PUT", "/cache/wearers/ab12"),
+                ):
+                    status, _ = await wire.request(port, method, path, body)
+                    assert 400 <= status < 500, (method, path, status)
+                assert wire.snapshot(tmp_path) == before
             finally:
                 await service.stop()
 
@@ -363,10 +432,10 @@ class TestFabricEndpoints:
             _, port = await service.start("127.0.0.1", 0)
             try:
                 spec = _spec(size=3, base_seed=51, name="sync")
-                cid = await _submit_fleet(port, spec)
+                cid = await wire.submit_fleet(port, spec)
 
                 # one round-trip: no heartbeats yet, lease acquired
-                status, sync = await _request(
+                status, sync = await wire.request(
                     port, "POST", "/fabric/sync",
                     {"worker": "w1", "heartbeats": []},
                 )
@@ -378,7 +447,7 @@ class TestFabricEndpoints:
                 # batched: a live token and a bogus one in one request —
                 # each entry carries its own status, one dead lease must
                 # not poison the rest of the tick
-                status, sync = await _request(
+                status, sync = await wire.request(
                     port, "POST", "/fabric/sync",
                     {
                         "worker": "w1",
@@ -410,10 +479,10 @@ class TestFabricEndpoints:
                 ids = set()
                 for name in ("rr-one", "rr-two"):
                     spec = _spec(size=2, base_seed=52, name=name)
-                    ids.add(await _submit_fleet(port, spec))
+                    ids.add(await wire.submit_fleet(port, spec))
                 granted = []
                 for _ in range(2):
-                    status, sync = await _request(
+                    status, sync = await wire.request(
                         port, "POST", "/fabric/sync", {"worker": "w1"}
                     )
                     assert status == 200
@@ -438,8 +507,8 @@ class TestFabricEndpoints:
                 service.wearer_cache.put(
                     wearer_fingerprint(spec.preset, wearer), summary
                 )
-                await _submit_fleet(port, spec)
-                status, sync = await _request(
+                await wire.submit_fleet(port, spec)
+                status, sync = await wire.request(
                     port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 assert status == 200
@@ -513,7 +582,7 @@ class TestFabricEndpoints:
             service = CampaignService(tmp_path)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                _, payload = await _request(port, "GET", f"/campaigns/{cid}")
+                _, payload = await wire.request(port, "GET", f"/campaigns/{cid}")
                 assert payload["state"] == "failed"
                 return payload["error"]
             finally:
@@ -531,7 +600,7 @@ class TestFabricEndpoints:
             service = CampaignService(tmp_path)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                _, payload = await _request(port, "GET", f"/campaigns/{cid}")
+                _, payload = await wire.request(port, "GET", f"/campaigns/{cid}")
                 assert payload["state"] == "failed"
                 assert payload["error"] == error
             finally:
@@ -640,14 +709,14 @@ class TestRequestHardening:
             _, port = await service.start("127.0.0.1", 0)
             try:
                 spec = _spec(size=2, base_seed=77, name="alias")
-                status, sub = await _request(
+                status, sub = await wire.request(
                     port, "POST", "/campaigns", spec.to_dict()
                 )
                 assert status in (200, 202)
                 cid = sub["id"]
                 await _poll_until(port, cid, {"done"})
-                _, bare = await _request(port, "GET", f"/campaigns/{cid}")
-                _, alias = await _request(
+                _, bare = await wire.request(port, "GET", f"/campaigns/{cid}")
+                _, alias = await wire.request(
                     port, "GET", f"/campaigns/{cid}/status"
                 )
                 assert alias == bare
@@ -656,38 +725,6 @@ class TestRequestHardening:
                 await service.join()
 
         asyncio.run(scenario())
-
-
-async def _exchange_with_headers(port, method, path, payload=None):
-    """Like _request, but also returns the response headers (lowercased)
-    so tests can pin wire-level fields like Retry-After."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            "Host: test\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    lines = head_blob.decode().split("\r\n")
-    status = int(lines[0].split()[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, json.loads(body_blob.decode())
 
 
 class TestBackpressure:
@@ -709,7 +746,7 @@ class TestBackpressure:
                 await writer1.drain()
                 await asyncio.sleep(0.2)
 
-                status, headers, err = await _exchange_with_headers(
+                status, headers, err = await wire.exchange(
                     port, "GET", "/campaigns"
                 )
                 assert status == 429
@@ -718,7 +755,7 @@ class TestBackpressure:
 
                 # health stays observable even under saturation — probes
                 # and promotion are exempt from admission
-                status, _, health = await _exchange_with_headers(
+                status, _, health = await wire.exchange(
                     port, "GET", "/healthz"
                 )
                 assert (status, health["ok"]) == (200, True)
@@ -730,7 +767,7 @@ class TestBackpressure:
                 except (ConnectionError, OSError):
                     pass
                 await asyncio.sleep(0.2)
-                status, _, _ = await _exchange_with_headers(
+                status, _, _ = await wire.exchange(
                     port, "GET", "/campaigns"
                 )
                 assert status == 200
@@ -785,7 +822,7 @@ class TestBackpressure:
 
                 # ...but a *fresh* connection is not punished for the
                 # old one's chattiness
-                status, _, sync = await _exchange_with_headers(
+                status, _, sync = await wire.exchange(
                     port, "POST", "/fabric/sync",
                     {"worker": "w2", "heartbeats": []},
                 )

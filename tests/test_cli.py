@@ -182,6 +182,27 @@ class TestObservabilityOutputs:
         assert payload["des.runs"]["value"] >= 1
         assert payload["oracle.wall_seconds"]["count"] >= 1
 
+    def test_metric_counters_do_not_depend_on_jobs(self, tmp_path, capsys):
+        # pool children ship their counter increments back, so a parallel
+        # run counts exactly what a serial one does (wall-clock counters
+        # aside)
+        def counters(jobs):
+            metrics = tmp_path / f"m{jobs}.json"
+            assert cli.main([
+                "solve", "--pdr-min", "90", "--preset", "smoke",
+                "--jobs", str(jobs), "--metrics-out", str(metrics),
+            ]) == 0
+            return {
+                name: entry["value"]
+                for name, entry in json.loads(metrics.read_text()).items()
+                if entry["type"] == "counter"
+                and not name.endswith("seconds")
+            }
+
+        serial = counters(1)
+        assert serial["des.runs"] >= 1
+        assert counters(2) == serial
+
     def test_trace_report_summarizes_run(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
         assert cli.main([

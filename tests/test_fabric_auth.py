@@ -20,10 +20,10 @@ from repro.campaign.auth import (
     resolve_secret,
 )
 from repro.campaign.service import CampaignService
-from repro.campaign.wearer_cache import (
-    WEARER_CACHE_DIRNAME,
-    summary_crc,
-)
+from repro.campaign.spec import make_population
+from repro.campaign.wearer_cache import WEARER_CACHE_DIRNAME
+
+from tests import fabric_wire as wire
 
 SECRET = "test-fabric-secret"
 
@@ -64,7 +64,7 @@ class TestFabricAuthUnit:
         headers = signer.sign("POST", "/fabric/sync", b"{}")
         with pytest.raises(AuthError) as err:
             _fixed_auth().verify(
-                "POST", "/campaigns/x/leases", b"{}", headers
+                "POST", "/fabric/promote", b"{}", headers
             )
         assert err.value.status == 401
 
@@ -112,35 +112,6 @@ class TestFabricAuthUnit:
         assert resolve_secret("flag") == "flag"  # the flag wins
 
 
-async def _exchange(port, method, path, payload=None, headers=None):
-    """One raw HTTP exchange with explicit extra headers."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        extra = "".join(
-            f"{k}: {v}\r\n" for k, v in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            "Host: test\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "Connection: close\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    return int(head_blob.split()[1]), json.loads(body_blob.decode())
-
-
 def _signed(auth, method, path, payload=None):
     body = b"" if payload is None else json.dumps(payload).encode()
     return auth.sign(method, path, body)
@@ -150,31 +121,49 @@ class TestWireAuth:
     """Wire-level: with a secret configured, fabric requests without a
     valid fresh signature are rejected with zero state mutation."""
 
-    def _summary_payload(self):
-        summary = {
-            "status": "infeasible",
-            "best": None,
-            "oracle_stats": {"simulations_run": 1, "cache_hits": 0},
+    async def _leased(self, port, auth=None):
+        """Submit a one-wearer fleet campaign and lease its shard; returns
+        the sync body that commits it, unsigned."""
+        spec = make_population(
+            1, preset="smoke", base_seed=70, pdr_bounds=(90,), name="auth",
+        )
+        cid = await wire.submit_fleet(port, spec)
+        body = wire.sync(acquire=True)
+        headers = None if auth is None else _signed(
+            auth, "POST", "/fabric/sync", body
+        )
+        status, grant = await wire.request(
+            port, "POST", "/fabric/sync", body, headers=headers
+        )
+        assert status == 200
+        lease = grant["lease"]
+        summaries = {
+            w["wearer_id"]: {
+                "status": "infeasible",
+                "best": None,
+                "oracle_stats": {"simulations_run": 1, "cache_hits": 0},
+            }
+            for w in lease["wearers"]
         }
-        return {"summary": summary, "crc": summary_crc(summary)}
+        return wire.sync(commits=[wire.commit(cid, lease, summaries)])
 
-    def test_unauthenticated_put_is_401_and_mutates_nothing(
+    def test_unauthenticated_commit_is_401_and_mutates_nothing(
         self, tmp_path
     ):
         async def scenario():
             service = CampaignService(tmp_path, fabric_secret=SECRET)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, err = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12",
-                    self._summary_payload(),
+                body = await self._leased(port, FabricAuth(SECRET))
+                before = wire.snapshot(tmp_path)
+                status, err = await wire.request(
+                    port, "POST", "/fabric/sync", body
                 )
                 assert status == 401
                 assert "auth" in err["error"]
-                # zero state mutation: no cache entry, no cache dir side
-                # effects beyond what existed before
-                cache_dir = tmp_path / WEARER_CACHE_DIRNAME
-                assert not (cache_dir / "ab12.json").exists()
+                # zero state mutation: no queue record, no summary, no
+                # wearer-cache entry
+                assert wire.snapshot(tmp_path) == before
             finally:
                 await service.stop()
 
@@ -185,39 +174,25 @@ class TestWireAuth:
             service = CampaignService(tmp_path, fabric_secret=SECRET)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                payload = self._summary_payload()
-                wrong = FabricAuth("some-other-secret")
-                status, _ = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload,
-                    headers=_signed(wrong, "PUT", "/cache/wearers/ab12",
-                                    payload),
-                )
-                assert status == 401
-                assert not (
-                    tmp_path / WEARER_CACHE_DIRNAME / "ab12.json"
-                ).exists()
-
                 right = FabricAuth(SECRET)
-                status, put = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload,
-                    headers=_signed(right, "PUT", "/cache/wearers/ab12",
-                                    payload),
-                )
-                assert (status, put["stored"]) == (200, True)
-                assert (
-                    tmp_path / WEARER_CACHE_DIRNAME / "ab12.json"
-                ).exists()
-
-                # ...and a GET must be signed too
-                status, _ = await _exchange(
-                    port, "GET", "/cache/wearers/ab12"
+                body = await self._leased(port, right)
+                before = wire.snapshot(tmp_path)
+                wrong = FabricAuth("some-other-secret")
+                status, _ = await wire.request(
+                    port, "POST", "/fabric/sync", body,
+                    headers=_signed(wrong, "POST", "/fabric/sync", body),
                 )
                 assert status == 401
-                status, got = await _exchange(
-                    port, "GET", "/cache/wearers/ab12",
-                    headers=_signed(right, "GET", "/cache/wearers/ab12"),
+                assert wire.snapshot(tmp_path) == before
+
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync", body,
+                    headers=_signed(right, "POST", "/fabric/sync", body),
                 )
-                assert status == 200
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
+                assert list((tmp_path / WEARER_CACHE_DIRNAME).glob(
+                    "*.json"
+                ))
             finally:
                 await service.stop()
 
@@ -229,18 +204,20 @@ class TestWireAuth:
             _, port = await service.start("127.0.0.1", 0)
             try:
                 auth = FabricAuth(SECRET)
-                body = {"worker": "w", "acquire": True, "heartbeats": []}
+                body = await self._leased(port, auth)
                 headers = _signed(auth, "POST", "/fabric/sync", body)
-                status, _ = await _exchange(
+                status, sync = await wire.request(
                     port, "POST", "/fabric/sync", body, headers=headers
                 )
-                assert status == 200
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
+                before = wire.snapshot(tmp_path)
                 # byte-identical resend: same nonce inside the window
-                status, err = await _exchange(
+                status, err = await wire.request(
                     port, "POST", "/fabric/sync", body, headers=headers
                 )
                 assert status == 403
                 assert "replay" in err["error"]
+                assert wire.snapshot(tmp_path) == before
             finally:
                 await service.stop()
 
@@ -259,7 +236,7 @@ class TestWireAuth:
                     SECRET, clock=lambda: _time.time() - 300.0
                 )
                 body = {"worker": "w", "heartbeats": []}
-                status, err = await _exchange(
+                status, err = await wire.request(
                     port, "POST", "/fabric/sync", body,
                     headers=_signed(skewed, "POST", "/fabric/sync", body),
                 )
@@ -278,9 +255,9 @@ class TestWireAuth:
             service = CampaignService(tmp_path, fabric_secret=SECRET)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, health = await _exchange(port, "GET", "/healthz")
+                status, health = await wire.request(port, "GET", "/healthz")
                 assert (status, health["auth"]) == (200, True)
-                status, listing = await _exchange(
+                status, listing = await wire.request(
                     port, "GET", "/campaigns"
                 )
                 assert status == 200
@@ -294,13 +271,13 @@ class TestWireAuth:
             service = CampaignService(tmp_path)  # no secret
             _, port = await service.start("127.0.0.1", 0)
             try:
-                status, health = await _exchange(port, "GET", "/healthz")
+                status, health = await wire.request(port, "GET", "/healthz")
                 assert (status, health["auth"]) == (200, False)
-                payload = self._summary_payload()
-                status, put = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload
+                body = await self._leased(port)
+                status, sync = await wire.request(
+                    port, "POST", "/fabric/sync", body
                 )
-                assert (status, put["stored"]) == (200, True)
+                assert (status, sync["commits"][0]["status"]) == (200, 200)
             finally:
                 await service.stop()
 

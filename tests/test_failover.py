@@ -8,35 +8,12 @@ kill-the-primary chaos run lives in ``scripts/failover_smoke.py``.
 """
 
 import asyncio
-import json
 
 from repro.campaign.queue import token_epoch
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import make_population
 
-
-async def _request(port, method, path, payload=None):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            "Host: test\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        ).encode()
-        writer.write(head + body)
-        await writer.drain()
-        raw = await reader.read()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    head_blob, _, body_blob = raw.partition(b"\r\n\r\n")
-    return int(head_blob.split()[1]), json.loads(body_blob.decode())
+from tests import fabric_wire as wire
 
 
 def _spec(size=3, base_seed=60, name="failover"):
@@ -44,15 +21,6 @@ def _spec(size=3, base_seed=60, name="failover"):
         size, preset="smoke", base_seed=base_seed, pdr_bounds=(90, 95),
         name=name,
     )
-
-
-async def _submit_fleet(port, spec):
-    status, sub = await _request(
-        port, "POST", "/campaigns",
-        {"spec": spec.to_dict(), "execution": "fleet"},
-    )
-    assert status == 202
-    return sub["id"]
 
 
 class TestFencingEpochs:
@@ -87,11 +55,11 @@ class TestFencingEpochs:
             _, b_port = await standby.start("127.0.0.1", 0)
             try:
                 spec = _spec(name="fence")
-                cid = await _submit_fleet(a_port, spec)
+                cid = await wire.submit_fleet(a_port, spec)
 
                 # lease a shard on the old primary: its token carries
                 # epoch 1
-                status, sync = await _request(
+                status, sync = await wire.request(
                     a_port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 assert status == 200
@@ -99,35 +67,39 @@ class TestFencingEpochs:
                 assert token_epoch(old_lease["token"]) == 1
 
                 # the standby refuses mutations while standing by...
-                status, err = await _request(
+                status, err = await wire.request(
                     b_port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 assert (status, err["role"]) == (503, "standby")
                 # ...but serves read-only status from the journal tail
-                status, health = await _request(b_port, "GET", "/healthz")
+                status, health = await wire.request(b_port, "GET", "/healthz")
                 assert (status, health["role"]) == (200, "standby")
-                status, view = await _request(
+                status, view = await wire.request(
                     b_port, "GET", f"/campaigns/{cid}"
                 )
                 assert status == 200
 
                 # promote: epoch bumps, the in-flight e1 lease survives
-                status, promoted = await _request(
+                status, promoted = await wire.request(
                     b_port, "POST", "/fabric/promote"
                 )
                 assert status == 200
                 assert promoted["promoted"] is True
                 assert promoted["epoch"] == 2
-                status, beat = await _request(
-                    b_port, "POST",
-                    f"/campaigns/{cid}/leases/{old_lease['token']}"
-                    "/heartbeat",
+                status, sync = await wire.request(
+                    b_port, "POST", "/fabric/sync",
+                    wire.sync(heartbeats=[
+                        {"campaign": cid, "token": old_lease["token"]}
+                    ]),
                 )
                 assert status == 200
-                assert beat["shard"] == old_lease["shard"]
+                beat = sync["heartbeats"][0]
+                assert (beat["status"], beat["shard"]) == (
+                    200, old_lease["shard"]
+                )
 
                 # fresh grants from the new primary carry the new epoch
-                status, sync = await _request(
+                status, sync = await wire.request(
                     b_port, "POST", "/fabric/sync", {"worker": "w2"}
                 )
                 assert status == 200
@@ -137,18 +109,19 @@ class TestFencingEpochs:
                 # 410/fenced — and mutates nothing while refusing
                 queue_log = tmp_path / cid / "queue.jsonl"
                 before = queue_log.read_bytes()
-                status, err = await _request(
+                status, err = await wire.request(
                     a_port, "POST", "/fabric/sync", {"worker": "w3"}
                 )
                 assert status == 410
                 assert err["fenced"] is True
                 assert queue_log.read_bytes() == before
-                # once fenced, fenced for life — even for plain POSTs
-                status, err = await _request(
-                    a_port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w3"},
+                # once fenced, fenced for life — even for operator POSTs
+                status, err = await wire.request(
+                    a_port, "POST", "/campaigns",
+                    {"spec": _spec(name="late").to_dict()},
                 )
                 assert (status, err["fenced"]) == (410, True)
+                assert queue_log.read_bytes() == before
             finally:
                 await standby.stop()
                 await primary.stop()
@@ -165,11 +138,11 @@ class TestFencingEpochs:
             )
             _, b_port = await standby.start("127.0.0.1", 0)
             try:
-                status, first = await _request(
+                status, first = await wire.request(
                     b_port, "POST", "/fabric/promote"
                 )
                 assert (status, first["promoted"]) == (200, True)
-                status, second = await _request(
+                status, second = await wire.request(
                     b_port, "POST", "/fabric/promote"
                 )
                 assert (status, second["promoted"]) == (200, False)
@@ -196,7 +169,7 @@ class TestAutoPromotion:
             _, b_port = await standby.start("127.0.0.1", 0)
             try:
                 spec = _spec(name="autopromote", base_seed=61)
-                cid = await _submit_fleet(a_port, spec)
+                cid = await wire.submit_fleet(a_port, spec)
 
                 # primary healthy → the standby must hold its fire
                 await asyncio.sleep(0.3)
@@ -213,7 +186,7 @@ class TestAutoPromotion:
 
                 # the promoted standby owns the campaign: it grants
                 # leases for the shards the dead primary left behind
-                status, sync = await _request(
+                status, sync = await wire.request(
                     b_port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 assert status == 200

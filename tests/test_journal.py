@@ -24,9 +24,10 @@ from repro.core.journal import (
     JournalError,
     RunJournal,
     SUMMARY_FILENAME,
+    canonical_json,
+    payload_crc,
     summary_projection,
     write_summary,
-    _crc,
 )
 from repro.experiments.scenario import get_preset, make_problem
 from repro.faults.model import hub_stress_ensemble
@@ -88,7 +89,7 @@ def test_manifest_mismatch_is_rejected(tmp_path):
 
 def test_version_mismatch_is_rejected(tmp_path):
     entry = {"kind": "manifest", "version": 999}
-    line = json.dumps({"crc": _crc(entry), "entry": entry})
+    line = json.dumps({"crc": payload_crc(entry), "entry": entry})
     (tmp_path / JOURNAL_FILENAME).write_text(line + "\n")
     with pytest.raises(JournalError, match="version 999"):
         RunJournal.resume(tmp_path)
@@ -388,11 +389,13 @@ class TestEventLog:
             EventLog(path)
 
     def test_payload_crc_is_canonical(self):
-        from repro.core.journal import payload_crc
-
         a = payload_crc({"b": 1, "a": [1, 2]})
         b = payload_crc({"a": [1, 2], "b": 1})
         assert a == b and len(a) == 8 and a != payload_crc({"a": [2, 1]})
+        # the exact bytes every journal, manifest, cache envelope and
+        # fingerprint hashes: changing them orphans every file on disk
+        assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+        assert a == "378a8546"
 
 
 class TestEventLogFollower:

@@ -72,6 +72,12 @@ def _exit_poison_task(task):
     return _square(task)
 
 
+def _counted_square(task):
+    """Counts on the ambient registry, as the DES kernel does."""
+    runtime.get_active().counter("test.squares").inc(task)
+    return _square(task)
+
+
 def _observed(trace_path):
     """Instrumentation that is both explicit and ambient, so ``pool.*``
     events/counters emitted via ``runtime.get_active()`` land in it."""
@@ -93,6 +99,17 @@ def test_chaos_crash_is_retried_and_results_are_exact(crash_worker):
     assert pool.retries >= 1
     assert pool.respawns >= 1
     assert not pool.degraded
+
+
+def test_child_counters_reach_the_parent_registry():
+    # each child counts on a fresh registry and ships the increments back
+    # with its result; the parent adds them, so totals match serial
+    for jobs in (1, 2):
+        obs = Instrumentation(MetricsRegistry())
+        with runtime.activate(obs), WorkerPool(jobs) as pool:
+            results = pool.map_ordered(_counted_square, list(range(6)))
+        assert results == [i * i for i in range(6)]
+        assert obs.counter("test.squares").value == sum(range(6))
 
 
 def test_hung_worker_hits_deadline_and_recovers(tmp_path):

@@ -24,7 +24,6 @@ from repro.campaign.spec import CampaignSpec, WearerSpec
 from repro.campaign.wearer_cache import (
     WearerCacheDiverged,
     WearerResultCache,
-    summary_crc,
     wearer_fingerprint,
 )
 from repro.core.journal import summary_projection
@@ -43,6 +42,13 @@ def _summary(tag="a"):
         "oracle_stats": {"simulations_run": 3, "cache_hits": 1},
         "tag": tag,
     }
+
+
+def _put_many(directory, tag, count, start):
+    cache = WearerResultCache(directory)
+    start.wait()
+    for i in range(count):
+        cache.put(f"{tag}{i:04x}", _summary(tag))
 
 
 class TestFingerprint:
@@ -190,11 +196,44 @@ class TestStore:
         assert set(out) == {"hot"}
         assert out["hot"] == summary_projection(_summary())
 
-    def test_summary_crc_matches_projection_not_raw(self):
-        summary = _summary()
-        decorated = dict(summary, transient_note="dropped by projection")
-        if summary_projection(decorated) == summary_projection(summary):
-            assert summary_crc(decorated) == summary_crc(summary)
+    def test_stored_bytes_are_the_projection_not_raw(self, tmp_path):
+        # wall-clock fields are projected away before sealing, so a
+        # repeat that differs only in them is the same entry, not a
+        # divergence
+        cache = WearerResultCache(tmp_path / "wc")
+        fingerprint = wearer_fingerprint("smoke", _wearer())
+        assert cache.put(fingerprint, dict(_summary(), wall_seconds=1.5))
+        assert not cache.put(fingerprint, dict(_summary(), wall_seconds=9.0))
+        assert cache.get(fingerprint) == summary_projection(_summary())
+
+    def test_concurrent_writers_share_one_directory(self, tmp_path):
+        """Processes storing different fingerprints into one directory
+        at once (pool children sharing a worker's cache): every writer
+        has its own temp file, so none dies on a rename race and every
+        entry reads back."""
+        import multiprocessing
+
+        tags = ("a", "b", "c")  # more writers than a 2-core host has
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(len(tags))
+        writers = [
+            ctx.Process(
+                target=_put_many, args=(tmp_path / "wc", tag, 40, start)
+            )
+            for tag in tags
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(120)
+        assert [writer.exitcode for writer in writers] == [0] * len(tags)
+        cache = WearerResultCache(tmp_path / "wc")
+        for tag in tags:
+            for i in range(40):
+                assert cache.get(f"{tag}{i:04x}") == summary_projection(
+                    _summary(tag)
+                )
+        assert not list((tmp_path / "wc").glob("*.tmp"))
 
 
 class TestBoundedCache:
