@@ -4,9 +4,9 @@ One campaign directory holds everything (layout pinned by the manifests
 in :mod:`repro.core.journal`)::
 
     <campaign_dir>/
-      campaign.json            CRC-checked manifest: spec + fingerprint + shards
+      campaign.json            framed manifest: spec + fingerprint + shards
       shards/shard-NN/
-        shard.json             CRC-checked shard manifest (linked by fingerprint)
+        shard.json             framed shard manifest (linked by fingerprint)
         <wearer_id>/           one PR-5 journaled run directory per wearer
           journal.jsonl
           summary.json         written only at wearer completion
@@ -59,6 +59,7 @@ from repro.core.journal import (
     load_campaign_shards,
     shard_directory,
     write_campaign_manifest,
+    write_atomic,
     write_shard_manifest,
     write_summary,
 )
@@ -275,16 +276,8 @@ def run_wearer_task(task: dict) -> dict:
 
 def _write_json(path: pathlib.Path, payload: dict) -> pathlib.Path:
     """Atomic, sorted, newline-terminated JSON (the byte-diffed artifacts)."""
-    import os
-
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    return write_atomic(path, text + "\n")
 
 
 def run_campaign(

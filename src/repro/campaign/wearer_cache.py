@@ -15,11 +15,13 @@ is a download, not a simulation.
 The store itself is one file per fingerprint
 (``<dir>/<fingerprint>.json``) holding the wearer's *deterministic
 summary projection* (:func:`repro.core.journal.summary_projection` — the
-exact bytes ``summary.json`` carries) inside the self-healing CRC
-envelope from :mod:`repro.core.result_cache`.  Damage handling mirrors
-the simulation cache: a file that fails to parse or fails its CRC is
-moved to a ``.quarantine`` sidecar and treated as a miss, never trusted
-and never fatal.  Writes are first-writer-wins and idempotent; a
+exact bytes ``summary.json`` carries) as one framed record
+(:func:`repro.core.journal.frame`), written with
+:func:`~repro.core.journal.write_atomic`.  Damage handling mirrors the
+simulation cache: a file that :func:`~repro.core.journal.unframe`
+rejects (unparseable, CRC failure, a superseded format) is moved to a
+``.quarantine`` sidecar and treated as a miss, never trusted and never
+fatal.  Writes are first-writer-wins and idempotent; a
 *divergent* write for the same fingerprint is a determinism violation
 and raises loudly (:class:`WearerCacheDiverged`) instead of silently
 replacing bytes other campaigns may already have aggregated.
@@ -33,23 +35,23 @@ directory (consulted before any simulation).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pathlib
-import tempfile
 from typing import Dict, Optional
 
 from repro.campaign.spec import WearerSpec
-from repro.core.journal import canonical_json, summary_projection
-from repro.core.result_cache import open_envelope, seal_envelope
-
-#: Version stamp of the on-disk envelope; bump on incompatible change.
-WEARER_CACHE_VERSION = 1
+from repro.core.journal import (
+    canonical_json,
+    frame,
+    summary_projection,
+    unframe,
+    write_atomic,
+)
 
 #: Conventional directory name for a wearer cache next to campaign state.
 WEARER_CACHE_DIRNAME = "wearer_cache"
 
-#: LRU index filename inside a cache directory (atomic temp+replace).
+#: LRU index filename inside a cache directory (one framed record).
 INDEX_FILENAME = "index.json"
 
 
@@ -108,17 +110,18 @@ def _event(kind: str, **fields) -> None:
 
 
 class WearerResultCache:
-    """One directory of CRC-enveloped wearer summaries, fingerprint-keyed.
+    """One directory of framed wearer summaries, fingerprint-keyed.
 
-    Files are written atomically (a private temp file per writer, then
-    ``os.replace``) so a concurrent reader never observes a torn entry
-    and concurrent writers — pool children sharing one directory — never
-    race on a temp name; reads quarantine damage instead of raising, so
-    the cache may always be treated as advisory.
+    Files are written with :func:`~repro.core.journal.write_atomic` (a
+    private temp file per writer, then ``os.replace``) so a concurrent
+    reader never observes a torn entry and concurrent writers — pool
+    children sharing one directory — never race on a temp name; reads
+    quarantine damage instead of raising, so the cache may always be
+    treated as advisory.
 
     ``max_bytes`` / ``max_entries`` bound the store (both default to
-    unbounded, the pre-PR-10 behaviour).  Recency lives in an on-disk
-    LRU index (``index.json``, atomic temp+replace) mapping fingerprint →
+    unbounded).  Recency lives in an on-disk LRU index (``index.json``,
+    one framed record written atomically) mapping fingerprint →
     ``{"bytes", "seq"}`` with a monotonically increasing touch sequence;
     ``put`` evicts least-recently-used entries until the caps hold
     again, never the entry just written — the caps are therefore
@@ -127,9 +130,8 @@ class WearerResultCache:
     directory scan ordered by mtime, so the index is never a correctness
     dependency: losing it only loses recency ordering.  An eviction is a
     plain ``unlink`` — a concurrent reader that already leased against
-    the entry sees a clean miss and re-simulates,
-    which the determinism contract guarantees reproduces identical
-    bytes.
+    the entry sees a clean miss and re-simulates, which the determinism
+    contract guarantees reproduces identical bytes.
     """
 
     def __init__(
@@ -175,49 +177,24 @@ class WearerResultCache:
         if self._index is not None:
             return self._index
         try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            entries = {
-                str(fp): {
-                    "bytes": int(rec["bytes"]),
-                    "seq": int(rec["seq"]),
-                }
-                for fp, rec in raw["entries"].items()
-            }
+            raw = unframe(self.index_path.read_bytes())
             self._index = {
                 "next_seq": int(raw["next_seq"]),
-                "entries": entries,
+                "entries": {
+                    str(fp): {
+                        "bytes": int(rec["bytes"]),
+                        "seq": int(rec["seq"]),
+                    }
+                    for fp, rec in raw["entries"].items()
+                },
             }
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self._index = self._scan_index()
         return self._index
 
-    def _write_atomic(self, path: pathlib.Path, text: str) -> None:
-        """fsync ``text`` into a temp file of this writer's own, then
-        rename it over ``path`` (readers see old or new, never torn)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def _save_index(self) -> None:
-        if self._index is None:
-            return
-        self._write_atomic(
-            self.index_path, json.dumps(self._index, sort_keys=True)
-        )
+        if self._index is not None:
+            write_atomic(self.index_path, frame(self._index))
 
     def _touch(self, fingerprint: str, size: Optional[int] = None) -> None:
         """Mark ``fingerprint`` most-recently-used (in memory; persisted
@@ -291,22 +268,18 @@ class WearerResultCache:
     def get(self, fingerprint: str) -> Optional[dict]:
         """The cached summary for ``fingerprint``, or None.
 
-        A damaged entry (unparseable, wrong version, CRC failure) is
-        moved aside to ``<entry>.quarantine`` and reported as a miss, so
+        A damaged entry (unparseable, CRC failure, a superseded format)
+        is moved aside to ``<entry>.quarantine`` and reported as a miss, so
         one flipped bit costs a re-simulation, never a wrong result.
         """
         path = self.path_for(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            blob = path.read_bytes()
         except FileNotFoundError:
             self._drop(fingerprint)
             return None
-        try:
-            summary = open_envelope(
-                text, WEARER_CACHE_VERSION, key="summary"
-            )
-        except Exception:
+        summary = unframe(blob)
+        if summary is None:
             quarantine = path.with_suffix(path.suffix + ".quarantine")
             try:
                 os.replace(path, quarantine)
@@ -315,7 +288,7 @@ class WearerResultCache:
             self._drop(fingerprint)
             _count("cache.wearer_quarantined")
             return None
-        self._touch(fingerprint, size=len(text.encode("utf-8")))
+        self._touch(fingerprint, size=len(blob))
         return summary
 
     def put(self, fingerprint: str, summary: dict) -> bool:
@@ -335,11 +308,8 @@ class WearerResultCache:
                 f"wearer cache entry {fingerprint} already holds different "
                 "bytes — two executions of the same wearer disagreed"
             )
-        blob = (
-            seal_envelope(projected, WEARER_CACHE_VERSION, key="summary")
-            + "\n"
-        )
-        self._write_atomic(self.path_for(fingerprint), blob)
+        blob = frame(projected) + "\n"
+        write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
         self._touch(fingerprint, size=len(blob.encode("utf-8")))
         self._evict_over_caps(protect=fingerprint)
@@ -366,9 +336,7 @@ class WearerResultCache:
         return sum(
             1
             for p in self.directory.iterdir()
-            if p.suffix == ".json"
-            and p.name != INDEX_FILENAME
-            and not p.name.endswith(".tmp")
+            if p.suffix == ".json" and p.name != INDEX_FILENAME
         )
 
     def __repr__(self) -> str:

@@ -1,4 +1,15 @@
-"""Crash-safe run journal: checkpoint/resume for Algorithm 1 campaigns.
+"""Crash-safe run journal and the package's one durable-record format.
+
+Every durable record — journal and event-log lines, result-cache lines,
+wearer-cache entries, campaign and shard manifests — is one
+:func:`frame`: ``{"crc": crc32(canonical entry), "entry": entry}`` as a
+single JSON line.  :func:`unframe` is its inverse and answers ``None``
+for any damage, :func:`scan_frames` is the one line scanner over a
+framed file, and :func:`write_atomic` is the one whole-file writer
+(private temp file, fsync, ``os.replace``).  The stores on top are thin
+typed views that differ only in what they do with damage: a journal
+drops a torn tail and refuses damage inside its prefix, a cache
+quarantines it and treats it as a miss.
 
 A :class:`RunJournal` is an append-only, fsynced JSONL file recording the
 *logical trajectory* of one exploration run — every evaluated candidate
@@ -42,8 +53,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import tempfile
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 #: Bumped when the journal line schema changes incompatibly.
 JOURNAL_VERSION = 1
@@ -96,53 +108,122 @@ def payload_crc(payload: dict) -> str:
     return format(zlib.crc32(canonical_json(payload).encode("utf-8")), "08x")
 
 
+def frame(entry: dict) -> str:
+    """The one durable-record format: ``entry`` sealed with its CRC as a
+    single JSON line (no newline).  Journals, event logs, cache lines,
+    wearer-cache entries and manifests are all spelled this way."""
+    return json.dumps({"crc": payload_crc(entry), "entry": entry})
+
+
+def unframe(line) -> Optional[dict]:
+    """Inverse of :func:`frame` (``str`` or ``bytes``): the entry, or
+    ``None`` for anything else — a torn or bit-rotted line, foreign
+    content, or a record in a superseded shape."""
+    try:
+        wrapper = json.loads(line)
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    if isinstance(wrapper, dict):
+        entry = wrapper.get("entry")
+        if isinstance(entry, dict) and (
+            wrapper.get("crc") == payload_crc(entry)
+        ):
+            return entry
+    return None
+
+
+def scan_frames(
+    blob: bytes,
+) -> Iterator[Tuple[int, int, bytes, Optional[dict]]]:
+    """The one line scanner: ``(line_number, end_offset, line, entry)``
+    for every non-blank line of a framed log, ``entry`` being ``None``
+    where :func:`unframe` rejects the line.  The final line may lack its
+    newline; callers decide whether that is a torn tail."""
+    offset = lineno = 0
+    while offset < len(blob):
+        newline = blob.find(b"\n", offset)
+        end = len(blob) if newline < 0 else newline + 1
+        line = blob[offset:end]
+        offset = end
+        lineno += 1
+        if line.strip():
+            yield lineno, end, line, unframe(line)
+
+
+def write_atomic(path, text: str) -> pathlib.Path:
+    """Write ``text`` to ``path`` so readers see the old or the new bytes,
+    never a torn file: a private ``mkstemp`` file in the same directory
+    (concurrent writers never share a temp name), fsynced, then
+    ``os.replace``d over ``path``.  The temp file is removed on error."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 def _load_entries(path: pathlib.Path):
-    """Replay a journal file, verifying per-line CRCs.
+    """Replay a framed log, verifying per-line CRCs.
 
     A torn *final* line (the crash-mid-append case) is dropped silently;
     a bad line anywhere else means the fsynced prefix itself is damaged,
     which is not survivable — that raises :class:`JournalError`.
 
     Returns ``(entries, valid_bytes)`` where ``valid_bytes`` is the byte
-    length of the intact prefix: everything past it is the torn tail,
-    which :meth:`RunJournal.resume` physically truncates away so the
-    append handle never writes after a fragment.
+    length of the intact prefix: everything past it is the torn tail.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = [
-        (i, line.strip()) for i, line in enumerate(raw) if line.strip()
-    ]
+    frames = list(scan_frames(path.read_bytes()))
     entries: List[dict] = []
-    last_index = lines[-1][0] if lines else -1
     valid_bytes = 0
-    offset = 0
-    offsets = []
-    for line in raw:
-        offset += len(line.encode("utf-8"))
-        offsets.append(offset)
-    for i, line in lines:
-        entry: Optional[dict] = None
-        try:
-            wrapper = json.loads(line)
-            if (
-                isinstance(wrapper, dict)
-                and isinstance(wrapper.get("entry"), dict)
-                and wrapper.get("crc") == payload_crc(wrapper["entry"])
-            ):
-                entry = wrapper["entry"]
-        except ValueError:
-            entry = None
+    for n, (lineno, end, _, entry) in enumerate(frames):
         if entry is None:
-            if i == last_index:
+            if n == len(frames) - 1:
                 break  # torn tail from a kill mid-append: drop it
             raise JournalError(
-                f"corrupt journal line {i + 1} in {path} (not a torn "
+                f"corrupt journal line {lineno} in {path} (not a torn "
                 "tail); the journal cannot be trusted"
             )
         entries.append(entry)
-        valid_bytes = offsets[i]
+        valid_bytes = end
     return entries, valid_bytes
+
+
+def _open_log(path: pathlib.Path):
+    """Replay ``path`` (if any), physically truncate its torn tail so the
+    append handle starts on a clean line boundary (a fragment would fuse
+    with the next entry), and open it for append.  Returns
+    ``(entries, fh)``."""
+    entries: List[dict] = []
+    if path.exists():
+        entries, valid_bytes = _load_entries(path)
+        if valid_bytes < path.stat().st_size:
+            with open(path, "r+b") as fh:
+                fh.truncate(valid_bytes)
+                fh.flush()
+                os.fsync(fh.fileno())
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return entries, open(path, "a", encoding="utf-8")
+
+
+def _append_frame(fh, entry: dict) -> None:
+    """Durably append one framed entry (flushed + fsynced)."""
+    fh.write(frame(entry) + "\n")
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
 def summary_projection(payload: dict) -> dict:
@@ -164,23 +245,16 @@ def summary_projection(payload: dict) -> dict:
 
 def write_summary(directory, payload: dict) -> pathlib.Path:
     """Atomically write the deterministic run summary into ``directory``."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / SUMMARY_FILENAME
-    tmp = directory / (SUMMARY_FILENAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(summary_projection(payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    text = json.dumps(summary_projection(payload), indent=1, sort_keys=True)
+    path = pathlib.Path(directory) / SUMMARY_FILENAME
+    return write_atomic(path, text + "\n")
 
 
 # -- multi-shard campaign manifests ----------------------------------------------
 #
 # A campaign directory holds many journaled runs (one per wearer) spread
-# over shard subdirectories.  The linkage is CRC-checked JSON manifests:
+# over shard subdirectories.  The linkage is manifests, one framed record
+# per file:
 # ``campaign.json`` at the root pins the campaign spec and fingerprint,
 # and each ``shards/shard-NN/shard.json`` pins the same fingerprint plus
 # its wearer list.  ``load_campaign_shards`` re-validates the whole chain
@@ -189,40 +263,16 @@ def write_summary(directory, payload: dict) -> pathlib.Path:
 # manifest check above).
 
 
-def _write_checked_json(path: pathlib.Path, payload: dict) -> pathlib.Path:
-    """Atomically write ``{"crc": ..., "manifest": payload}``."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"crc": payload_crc(payload), "manifest": payload},
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
-
-
-def _load_checked_json(path: pathlib.Path, what: str) -> dict:
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise JournalError(f"no {what} at {path}")
+def _load_record(path: pathlib.Path, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            wrapper = json.load(fh)
-    except ValueError as exc:
-        raise JournalError(f"unreadable {what} at {path}: {exc}") from None
-    manifest = wrapper.get("manifest") if isinstance(wrapper, dict) else None
-    if not isinstance(manifest, dict) or (
-        wrapper.get("crc") != payload_crc(manifest)
-    ):
-        raise JournalError(f"corrupt {what} at {path} (CRC mismatch)")
-    return manifest
+        payload = unframe(path.read_bytes())
+    except FileNotFoundError:
+        raise JournalError(f"no {what} at {path}") from None
+    if payload is None:
+        raise JournalError(
+            f"corrupt {what} at {path} (not an intact framed record)"
+        )
+    return payload
 
 
 def shard_directory(campaign_dir, index: int) -> pathlib.Path:
@@ -239,13 +289,12 @@ def write_campaign_manifest(
         "shards": int(shards),
         "spec": spec_dict,
     }
-    return _write_checked_json(
-        pathlib.Path(campaign_dir) / CAMPAIGN_MANIFEST_FILENAME, payload
-    )
+    path = pathlib.Path(campaign_dir) / CAMPAIGN_MANIFEST_FILENAME
+    return write_atomic(path, frame(payload) + "\n")
 
 
 def load_campaign_manifest(campaign_dir) -> dict:
-    manifest = _load_checked_json(
+    manifest = _load_record(
         pathlib.Path(campaign_dir) / CAMPAIGN_MANIFEST_FILENAME,
         "campaign manifest",
     )
@@ -271,9 +320,8 @@ def write_shard_manifest(
         "index": int(index),
         "wearers": list(wearer_ids),
     }
-    return _write_checked_json(
-        shard_directory(campaign_dir, index) / SHARD_MANIFEST_FILENAME, payload
-    )
+    path = shard_directory(campaign_dir, index) / SHARD_MANIFEST_FILENAME
+    return write_atomic(path, frame(payload) + "\n")
 
 
 def load_campaign_shards(campaign_dir) -> List[dict]:
@@ -294,7 +342,7 @@ def load_campaign_shards(campaign_dir) -> List[dict]:
         for entry in sorted(shards_root.iterdir()):
             if not entry.is_dir():
                 continue
-            manifest = _load_checked_json(
+            manifest = _load_record(
                 entry / SHARD_MANIFEST_FILENAME, "shard manifest"
             )
             if manifest.get("fingerprint") != fingerprint:
@@ -326,8 +374,8 @@ def load_campaign_shards(campaign_dir) -> List[dict]:
 class EventLog:
     """Append-only, fsynced, CRC-framed JSONL log of plain dict events.
 
-    The generic sibling of :class:`RunJournal`: same wire format (one
-    ``{"crc", "entry"}`` wrapper per line), same torn-tail semantics (a
+    The generic sibling of :class:`RunJournal`: same open, append and
+    wire format (one :func:`frame` per line), same torn-tail semantics (a
     kill mid-append loses at most the line being written; the fragment is
     detected on open and physically truncated), but no replay cursor or
     trajectory verification — it is a durable record, not a checkpoint.
@@ -338,18 +386,7 @@ class EventLog:
 
     def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
-        self._entries: List[dict] = []
-        if self.path.exists():
-            entries, valid_bytes = _load_entries(self.path)
-            if valid_bytes < self.path.stat().st_size:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(valid_bytes)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            self._entries = entries
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._entries, self._fh = _open_log(self.path)
 
     @property
     def entries(self) -> List[dict]:
@@ -359,10 +396,7 @@ class EventLog:
         """Durably append one event (flushed + fsynced before returning)."""
         if self._fh is None:
             raise JournalError(f"event log {self.path} is closed")
-        line = json.dumps({"crc": payload_crc(entry), "entry": entry})
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        _append_frame(self._fh, entry)
         self._entries.append(entry)
         return entry
 
@@ -433,34 +467,15 @@ class EventLogFollower:
             return []
         out: List[dict] = []
         consumed = 0
-        while True:
-            newline = blob.find(b"\n", consumed)
-            if newline < 0:
-                break  # torn tail (no terminator yet): withhold
-            line = blob[consumed : newline + 1]
-            text = line.strip()
-            if not text:
-                consumed = newline + 1
-                continue
-            entry: Optional[dict] = None
-            try:
-                wrapper = json.loads(text.decode("utf-8"))
-                if (
-                    isinstance(wrapper, dict)
-                    and isinstance(wrapper.get("entry"), dict)
-                    and wrapper.get("crc") == payload_crc(wrapper["entry"])
-                ):
-                    entry = wrapper["entry"]
-            except (ValueError, UnicodeDecodeError):
-                entry = None
-            if entry is None:
-                # A complete line that fails its CRC: not a torn write
-                # (those lack the newline), so either mid-truncation
-                # churn or corruption.  Hold position; a later poll
-                # re-reads once the writer has settled.
+        for _, end, line, entry in scan_frames(blob):
+            if entry is None or not line.endswith(b"\n"):
+                # A torn tail (no terminator yet) is withheld.  A complete
+                # line that fails its CRC is not a torn write, so either
+                # mid-truncation churn or corruption: hold position; a
+                # later poll re-reads once the writer has settled.
                 break
             out.append(entry)
-            consumed = newline + 1
+            consumed = end
         self._offset += consumed
         return out
 
@@ -509,8 +524,7 @@ class RunJournal:
                 f"{path} already exists; use --resume to continue that "
                 "run (or point --out at a fresh directory)"
             )
-        directory.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "a", encoding="utf-8")
+        _, fh = _open_log(path)
         manifest_entry = {
             "kind": "manifest",
             "version": JOURNAL_VERSION,
@@ -529,31 +543,26 @@ class RunJournal:
         path = directory / JOURNAL_FILENAME
         if not path.exists():
             raise JournalError(f"no journal to resume at {path}")
-        entries, valid_bytes = _load_entries(path)
-        if valid_bytes < path.stat().st_size:
-            # physically drop the torn tail: the append handle must
-            # start at a clean line boundary, or the fragment would
-            # fuse with the next entry and corrupt the journal
-            with open(path, "r+b") as fh:
-                fh.truncate(valid_bytes)
-                fh.flush()
-                os.fsync(fh.fileno())
-        if not entries or entries[0].get("kind") != "manifest":
-            raise JournalError(f"{path} has no readable manifest line")
-        manifest = entries[0]
-        if manifest.get("version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"journal version {manifest.get('version')} in {path} is "
-                f"not version {JOURNAL_VERSION}"
-            )
-        for key, value in expected_manifest.items():
-            if manifest.get(key) != value:
+        entries, fh = _open_log(path)
+        try:
+            if not entries or entries[0].get("kind") != "manifest":
+                raise JournalError(f"{path} has no readable manifest line")
+            manifest = entries[0]
+            if manifest.get("version") != JOURNAL_VERSION:
                 raise JournalError(
-                    f"journal manifest mismatch on {key!r}: journal has "
-                    f"{manifest.get(key)!r}, the resumed run supplies "
-                    f"{value!r} — refusing to mix trajectories"
+                    f"journal version {manifest.get('version')} in {path} "
+                    f"is not version {JOURNAL_VERSION}"
                 )
-        fh = open(path, "a", encoding="utf-8")
+            for key, value in expected_manifest.items():
+                if manifest.get(key) != value:
+                    raise JournalError(
+                        f"journal manifest mismatch on {key!r}: journal has "
+                        f"{manifest.get(key)!r}, the resumed run supplies "
+                        f"{value!r} — refusing to mix trajectories"
+                    )
+        except JournalError:
+            fh.close()
+            raise
         return cls(directory, manifest, entries[1:], fh)
 
     # -- low-level append --------------------------------------------------------
@@ -561,10 +570,7 @@ class RunJournal:
     def _append(self, entry: dict) -> None:
         if self._fh is None:
             raise JournalError("journal is closed")
-        line = json.dumps({"crc": payload_crc(entry), "entry": entry})
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        _append_frame(self._fh, entry)
 
     def _record(self, entry: dict, what: str) -> bool:
         """Advance the replay cursor (verifying) or append ``entry``.

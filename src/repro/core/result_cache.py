@@ -2,35 +2,34 @@
 
 The oracle's in-memory memo dies with the process, so every rerun of an
 experiment pays the full simulation bill again.  This module stores each
-:class:`repro.core.evaluator.EvaluationRecord` as one JSON line in
+:class:`repro.core.evaluator.EvaluationRecord` as one line in
 ``<cache_dir>/<fingerprint>.jsonl``, where the *fingerprint* hashes every
 scenario field that can influence a simulation result (radio, traffic,
 channel, protocol, seed, horizon, replication policy, …) and deliberately
-excludes pure execution knobs (``n_jobs``, ``cache_dir``).  Consequences:
+excludes pure execution knobs (:data:`EXECUTION_ONLY_FIELDS`: ``n_jobs``,
+``cache_dir``, ``batch_mode``).  Consequences:
 
 * results are shared across experiments and across process restarts — a
   warm cache answers repeat evaluations with zero new simulations;
 * two scenarios that differ in any physics/protocol field land in
   different files and can never cross-contaminate;
-* the file format is append-only JSON lines: concurrent writers at worst
-  duplicate a line (last one wins on load), corrupt/partial trailing lines
-  are skipped, and the cache is human-greppable.
+* the file is append-only lines: concurrent writers at worst duplicate
+  a line (last one wins on load), and the cache is human-greppable.
 
 Floats survive the JSON round trip exactly (``json`` emits ``repr``-style
 shortest representations, which parse back to the identical double), so a
 record loaded from disk is bit-identical to the one that was stored.
 
-The cache is *self-healing*.  Each line is a versioned envelope
-(``{"v": 2, "crc": ..., "record": {...}}``) whose CRC32 covers the
-canonical-JSON record body; on load, any line that fails to parse, fails
-its CRC, or fails record deserialization — a half-written tail after
-``kill -9``, a flipped bit, foreign content — is moved to a
-``<cache>.quarantine`` sidecar (with the failure reason) instead of being
-silently dropped or raising.  Legacy v1 lines (bare record dicts from
-before the envelope existed) still load.  After a load that encountered
-corruption or legacy lines, the file is compacted: the surviving records
-are atomically rewritten (temp file + ``os.replace``) in the current
-format, so damage never accumulates and old files converge to v2.
+The cache is *self-healing*.  Each line is the package's one durable
+record, :func:`repro.core.journal.frame` of the record dict; on load,
+any line that :func:`~repro.core.journal.unframe` rejects or that fails
+record deserialization — a half-written tail after ``kill -9``, a
+flipped bit, foreign content, a line in a superseded format — is moved
+to a ``<cache>.quarantine`` sidecar (with the failure reason) instead of
+being silently dropped or raising; it costs one re-simulation, never a
+wrong answer.  After a load that quarantined anything, the surviving
+records are atomically rewritten
+(:func:`~repro.core.journal.write_atomic`), so damage never accumulates.
 """
 
 from __future__ import annotations
@@ -41,14 +40,10 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.core.journal import canonical_json, payload_crc
+from repro.core.journal import canonical_json, frame, scan_frames, write_atomic
 from repro.net.network import SimulationOutcome
-
-#: Version stamp written into each cache-line envelope; bump when the
-#: record schema changes incompatibly.
-CACHE_SCHEMA_VERSION = 2
 
 #: ScenarioParameters fields that cannot influence simulation results:
 #: they configure *how* the oracle executes, not *what* it simulates.
@@ -169,61 +164,6 @@ def record_from_dict(payload: dict):
     )
 
 
-def seal_envelope(body: dict, version: int, key: str = "record") -> str:
-    """One CRC32-sealed, version-stamped JSON envelope.
-
-    The generic form of this cache's self-healing line format, reused by
-    every store that wants the same corruption story (the wearer-result
-    cache keeps one sealed summary per file): a ``{"v", "crc", <key>}``
-    wrapper whose CRC covers the canonical JSON of the body alone.
-    """
-    return json.dumps({"v": version, "crc": payload_crc(body), key: body})
-
-
-def open_envelope(text: str, version: int, key: str = "record") -> dict:
-    """Inverse of :func:`seal_envelope`; raises ``ValueError`` on any
-    damage (wrong version, missing body, CRC mismatch) so callers can
-    quarantine rather than trust a corrupt payload."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("envelope is not a JSON object")
-    if payload.get("v") != version:
-        raise ValueError(
-            f"unsupported envelope version {payload.get('v')!r}"
-        )
-    body = payload.get(key)
-    if not isinstance(body, dict):
-        raise ValueError(f"envelope has no {key!r} body")
-    if payload.get("crc") != payload_crc(body):
-        raise ValueError("envelope failed CRC32 check")
-    return body
-
-
-def encode_cache_line(record) -> str:
-    """One v2 cache line: a CRC32-sealed, version-stamped envelope."""
-    return seal_envelope(
-        record_to_dict(record), CACHE_SCHEMA_VERSION, key="record"
-    )
-
-
-def decode_cache_line(line: str):
-    """Decode one cache line, returning ``(record, is_legacy)``.
-
-    Accepts the current envelope format (CRC-verified) and legacy v1
-    lines (a bare record dict, recognized by its ``config`` field).
-    Raises ``ValueError``/``KeyError``/``TypeError`` on anything else —
-    the caller quarantines those.
-    """
-    payload = json.loads(line)
-    if not isinstance(payload, dict):
-        raise ValueError("cache line is not a JSON object")
-    if "v" in payload or "crc" in payload or "record" in payload:
-        record_dict = open_envelope(line, CACHE_SCHEMA_VERSION, key="record")
-        return record_from_dict(record_dict), False
-    # Legacy v1: the record dict itself was the line.
-    return record_from_dict(payload), True
-
-
 def _count(name: str, amount: int = 1) -> None:
     """Best-effort ambient metric (no-op when obs isn't active)."""
     from repro.obs import runtime
@@ -238,9 +178,9 @@ class ResultCache:
 
     Records are loaded lazily on first access and indexed by
     ``Configuration.key()``.  ``put`` appends immediately, so results
-    survive even if the process dies mid-experiment.  Corrupt lines are
-    quarantined rather than fatal, and files carrying damage or legacy
-    formatting are compacted in place — see the module docstring.
+    survive even if the process dies mid-experiment.  Damaged lines are
+    quarantined rather than fatal, and the file is then compacted in
+    place — see the module docstring.
     """
 
     def __init__(self, directory, fingerprint: str) -> None:
@@ -260,41 +200,36 @@ class ResultCache:
 
         Damaged lines — truncated tails from a crash mid-append, bit
         rot, foreign content — are appended to the ``.quarantine``
-        sidecar with a reason, never raised.  If any line was damaged or
-        written in the legacy v1 format, the surviving records are
-        compacted back to disk atomically in the current format.
+        sidecar with a reason, never raised.  If any line was damaged,
+        the surviving records are compacted back to disk atomically.
         """
         if self._loaded:
             return
         self._loaded = True
-        if not self.path.exists():
+        try:
+            blob = self.path.read_bytes()
+        except FileNotFoundError:
             return
         quarantined: List[dict] = []
-        legacy_lines = 0
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record, is_legacy = decode_cache_line(line)
-                except Exception as exc:  # any damage: quarantine, not fatal
-                    quarantined.append(
-                        {
-                            "line_number": lineno,
-                            "reason": f"{type(exc).__name__}: {exc}",
-                            "line": line,
-                        }
-                    )
-                    continue
-                if is_legacy:
-                    legacy_lines += 1
-                self._records[record.config.key()] = record
+        for lineno, _, line, entry in scan_frames(blob):
+            try:
+                if entry is None:
+                    raise ValueError("torn, damaged or not a framed record")
+                record = record_from_dict(entry)
+            except Exception as exc:  # any damage: quarantine, not fatal
+                quarantined.append(
+                    {
+                        "line_number": lineno,
+                        "reason": f"{type(exc).__name__}: {exc}",
+                        "line": line.decode("utf-8", "replace").strip(),
+                    }
+                )
+                continue
+            self._records[record.config.key()] = record
         self.quarantined_lines = len(quarantined)
         if quarantined:
             self._write_quarantine(quarantined)
             _count("cache.quarantined_lines", len(quarantined))
-        if quarantined or legacy_lines:
             self._compact()
 
     def _write_quarantine(self, quarantined: List[dict]) -> None:
@@ -306,15 +241,12 @@ class ResultCache:
             os.fsync(fh.fileno())
 
     def _compact(self) -> None:
-        """Atomically rewrite the file as the loaded records, v2 format."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in self._records.values():
-                fh.write(encode_cache_line(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        """Atomically rewrite the file as the loaded records."""
+        text = "".join(
+            frame(record_to_dict(record)) + "\n"
+            for record in self._records.values()
+        )
+        write_atomic(self.path, text)
         self.compacted = True
         _count("cache.compactions")
 
@@ -331,7 +263,7 @@ class ResultCache:
         self._records[key] = record
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(encode_cache_line(record) + "\n")
+            fh.write(frame(record_to_dict(record)) + "\n")
 
     def invalidate(self) -> None:
         """Drop every stored result (memory and disk)."""

@@ -1,7 +1,8 @@
 """Checkpoint/resume tests for the crash-safe run journal.
 
-Unit layer: CRC framing, torn-tail tolerance, corruption detection,
-manifest verification, divergence detection, summary projection.
+Unit layer: CRC framing (byte-compatible with journals already on
+disk), torn-tail tolerance, corruption detection, manifest verification,
+divergence detection, summary projection, atomic whole-file writes.
 
 Integration layer: the contract the journal exists for — kill an
 exploration campaign at an arbitrary journal prefix (including a torn
@@ -25,8 +26,11 @@ from repro.core.journal import (
     RunJournal,
     SUMMARY_FILENAME,
     canonical_json,
+    frame,
     payload_crc,
     summary_projection,
+    unframe,
+    write_atomic,
     write_summary,
 )
 from repro.experiments.scenario import get_preset, make_problem
@@ -156,6 +160,77 @@ def test_write_summary_is_projected_and_stable(tmp_path):
     on_disk = json.loads(path.read_text())
     assert on_disk == summary_projection(payload)
     assert "wall_seconds" not in on_disk
+
+
+#: A ``journal.jsonl`` written before journals, caches and manifests
+#: shared one codec: a manifest, one candidate and one cut.  Journals,
+#: ``queue.jsonl``, ``service.jsonl`` and ``fencing.jsonl`` all carry
+#: this framing, so these bytes must keep loading unchanged.
+PINNED_JOURNAL = (
+    '{"crc": "e5143e0a", "entry": {"kind": "manifest", "version": 1, '
+    '"command": "solve", "preset": "smoke", "seed": 1, "pdr_min": 0.9, '
+    '"scenario_fingerprint": "0123456789abcdef"}}\n'
+    '{"crc": "101eb127", "entry": {"kind": "candidate", "record": '
+    '{"config": {"placement": [0, 3], "tx_dbm": -10.0, "mac": "csma", '
+    '"routing": "star"}, "pdr": 0.9375, "power_mw": 0.2, "nlt_days": '
+    '17.25, "wall_seconds": 0.5, "outcome": {"pdr": 0.9375, "node_pdrs": '
+    '{"1": 0.875, "2": 1.0}, "node_powers_mw": {"1": 0.1234567890123, '
+    '"2": 0.2}, "worst_power_mw": 0.2, "nlt_days": 17.25, "horizon_s": '
+    '10.0, "totals": {"sent": 16, "delivered": 15}, "events_executed": '
+    '321, "replicates": 1, "mean_latency_s": 0.0125, "windowed_pdr": '
+    '[[0.0, 1.0], [5.0, 0.875]]}}, "accepted": true}}\n'
+    '{"crc": "f8dbfb7a", "entry": {"kind": "cut", "p_star_mw": 0.2}}\n'
+)
+
+
+def test_existing_journal_bytes_replay_unchanged(tmp_path):
+    path = tmp_path / JOURNAL_FILENAME
+    path.write_text(PINNED_JOURNAL)
+    manifest = dict(command="solve", preset="smoke", seed=1, pdr_min=0.9,
+                    scenario_fingerprint="0123456789abcdef")
+    with RunJournal.resume(tmp_path, **manifest) as journal:
+        assert journal.replay_cuts() == [0.2]
+        (record,) = journal.replay_records()
+        assert record.config.placement == (0, 3)
+        assert record.outcome.node_powers_mw == {1: 0.1234567890123, 2: 0.2}
+        assert journal.candidate(record, accepted=True) is False
+        assert journal.cut(0.2) is False  # verified, not re-appended
+        entries = [journal.manifest] + journal.entries
+    assert path.read_text() == PINNED_JOURNAL
+    lines = PINNED_JOURNAL.splitlines()
+    assert [frame(entry) for entry in entries] == lines
+    assert [unframe(line) for line in lines] == entries
+
+
+def _write_many(path, text, count, start):
+    start.wait()
+    for _ in range(count):
+        write_atomic(path, text)
+
+
+def test_concurrent_atomic_writers_share_one_path(tmp_path):
+    """Processes rewriting one file at once (the campaign artifacts, the
+    wearer-cache index): each writer has a private temp name, so none
+    dies on a rename race, the file always holds one writer's whole
+    text, and no temp file is left behind."""
+    import multiprocessing
+
+    tags = ("a", "b", "c")  # more writers than a 2-core host has
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(len(tags))
+    path = tmp_path / "index.json"
+    texts = {tag: json.dumps({"writer": tag * 200}) + "\n" for tag in tags}
+    writers = [
+        ctx.Process(target=_write_many, args=(path, texts[tag], 40, start))
+        for tag in tags
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(120)
+    assert [writer.exitcode for writer in writers] == [0] * len(tags)
+    assert path.read_text() in texts.values()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -405,24 +405,23 @@ class TestScenarioAndCliKnobs:
 
 
 class TestSelfHealingCache:
-    """Satellite regression (DESIGN.md §9): cache damage is survivable.
+    """Regression (DESIGN.md §9): cache damage is survivable.
 
-    Torn tails, bit rot, and legacy formatting are quarantined to a
-    sidecar and healed by atomic compaction — never fatal, and never
-    silently wrong (the per-record CRC catches damage that still parses
-    as JSON)."""
+    Torn tails, bit rot, and lines in superseded formats are quarantined
+    to a sidecar and healed by atomic compaction — never fatal, and
+    never silently wrong (the per-record CRC catches damage that still
+    parses as JSON)."""
 
     def _warm_records(self, n=2):
         scenario = tiny_scenario()
         configs = list(tiny_space().feasible_configurations())[:n]
         return SimulationOracle(scenario).evaluate_many(configs)
 
-    def test_encode_decode_round_trip(self):
-        from repro.core.result_cache import decode_cache_line, encode_cache_line
+    def test_frame_unframe_round_trip(self):
+        from repro.core.journal import frame, unframe
 
         record = self._warm_records(1)[0]
-        clone, is_legacy = decode_cache_line(encode_cache_line(record))
-        assert not is_legacy
+        clone = record_from_dict(unframe(frame(record_to_dict(record))))
         assert_records_identical(record, clone, compare_wall=True)
 
     def test_truncation_at_every_byte_recovers_intact_prefix(self, tmp_path):
@@ -486,23 +485,39 @@ class TestSelfHealingCache:
         assert again.quarantined_lines == 0
         assert not again.compacted
 
-    def test_legacy_v1_lines_load_and_upgrade(self, tmp_path):
-        from repro.core.result_cache import decode_cache_line
-
-        record = self._warm_records(1)[0]
-        cache = ResultCache(tmp_path, "fp")
-        cache.path.parent.mkdir(exist_ok=True)
+    def test_old_format_lines_are_quarantined_and_compacted(self, tmp_path):
+        """Lines written before the cache shared the journal's framing —
+        a bare v1 record and a ``{"v": 2, "crc", "record"}`` envelope —
+        are damage like any other: each is quarantined with a reason
+        (one re-simulation, never a wrong answer), and compaction
+        rewrites the survivors as framed lines."""
         import json as _json
 
-        cache.path.write_text(_json.dumps(record_to_dict(record)) + "\n")
+        from repro.core.journal import frame, payload_crc
+
+        records = self._warm_records(3)
+        bodies = [record_to_dict(record) for record in records]
+        v1 = _json.dumps(bodies[0])
+        v2 = _json.dumps(
+            {"v": 2, "crc": payload_crc(bodies[1]), "record": bodies[1]}
+        )
+        cache = ResultCache(tmp_path, "fp")
+        cache.path.write_text(f"{v1}\n{v2}\n{frame(bodies[2])}\n")
         cache.load()
         assert len(cache) == 1
-        assert cache.compacted  # rewritten in the current envelope
-        assert cache.quarantined_lines == 0
-        first_line = cache.path.read_text().splitlines()[0]
-        clone, is_legacy = decode_cache_line(first_line)
-        assert not is_legacy
-        assert_records_identical(record, clone, compare_wall=True)
+        assert cache.quarantined_lines == 2
+        assert cache.compacted
+        sidecar = [
+            _json.loads(line)
+            for line in cache.quarantine_path.read_text().splitlines()
+        ]
+        assert [item["line"] for item in sidecar] == [v1, v2]
+        assert [item["line_number"] for item in sidecar] == [1, 2]
+        assert all(item["reason"] for item in sidecar)
+        assert cache.path.read_text() == frame(bodies[2]) + "\n"
+        assert_records_identical(
+            records[2], next(iter(cache)), compare_wall=True
+        )
 
     def test_oracle_survives_damaged_warm_cache(self, tmp_path):
         """End to end: a warm oracle pointed at a damaged cache re-runs

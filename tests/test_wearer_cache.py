@@ -181,6 +181,25 @@ class TestStore:
         # and the slot is usable again
         assert cache.put("ab12", _summary()) is True
 
+    def test_old_format_entry_is_a_quarantined_miss(self, tmp_path):
+        # an entry written before the wearer cache shared the journal's
+        # framing: one re-simulation, never a wrong answer
+        from repro.core.journal import payload_crc
+
+        cache = WearerResultCache(tmp_path / "wc")
+        path = cache.path_for("ab12")
+        path.parent.mkdir(parents=True)
+        body = summary_projection(_summary())
+        path.write_text(
+            json.dumps({"v": 1, "crc": payload_crc(body), "summary": body})
+            + "\n"
+        )
+        assert cache.get("ab12") is None
+        assert not path.exists()
+        assert path.with_suffix(".json.quarantine").exists()
+        assert cache.put("ab12", _summary()) is True
+        assert cache.get("ab12") == body
+
     def test_bad_fingerprint_refused_before_touching_disk(self, tmp_path):
         cache = WearerResultCache(tmp_path / "wc")
         for bad in ("", "../escape", "UPPER", "has space"):
